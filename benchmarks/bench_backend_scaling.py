@@ -3,7 +3,7 @@
 Claims measured here (and recorded in ``BENCH_backend_scaling.json``):
 
 1. **Batch throughput** -- on a fixed schedule, evaluating through
-   ``receptions_batch`` is at least ~1.5x faster than the equivalent
+   ``receptions_table`` is at least ~1.5x faster than the equivalent
    round-by-round ``receptions`` loop for the lazy backend (gated; the
    other backends are recorded: the dense batch path fronts a one-time
    rank-table build plus a per-round GEMM whose cost is independent of
@@ -18,7 +18,8 @@ Claims measured here (and recorded in ``BENCH_backend_scaling.json``):
    event-for-event identical deliveries asserted before timing.
 4. **Batched round driver** -- on a driver-bound schedule (many rounds,
    few transmitters each) the spatial backend's fused multi-round driver
-   (``round_batch``) is >= 3x faster than its own round-by-round path
+   (``round_batch="auto"``) is >= 3x faster than a second spatial backend
+   built with ``round_batch=1``, its round-by-round path
    (quick mode gates a conservative 1.5x), with *bit-identical* delivery
    tables asserted before any timing.
 5. **Local broadcast at n = 100k** -- a complete run of the paper's
@@ -43,7 +44,7 @@ import json
 import time
 import tracemalloc
 from pathlib import Path
-from typing import Dict, List
+from typing import Dict
 
 import numpy as np
 
@@ -55,10 +56,12 @@ from repro.sinr.backends._kernels import KERNEL_BACKEND
 from repro.sinr.model import SINRParameters
 
 
-def make_schedule(n: int, rounds: int, per_round: int, seed: int) -> List[List[int]]:
-    """A fixed schedule: ``rounds`` transmitter sets of ``per_round`` indices."""
+def csr_schedule(n: int, rounds: int, per_round: int, seed: int):
+    """A fixed CSR schedule ``(indptr, members)`` of ``per_round``-sized rounds."""
     rng = np.random.default_rng(seed)
-    return [list(rng.choice(n, size=per_round, replace=False)) for _ in range(rounds)]
+    members = [rng.choice(n, size=per_round, replace=False) for _ in range(rounds)]
+    indptr = np.arange(rounds + 1, dtype=np.int64) * per_round
+    return indptr, np.concatenate(members).astype(np.int64)
 
 
 def positions_for(n: int, seed: int = 0) -> np.ndarray:
@@ -75,9 +78,10 @@ def dense_matrix_bytes(n: int) -> int:
 
 
 def bench_batch_vs_rounds(n: int, rounds: int, per_round: int) -> Dict[str, float]:
-    """Time receptions_batch against the round-by-round loop, per backend."""
+    """Time receptions_table against the round-by-round loop, per backend."""
     positions = positions_for(n)
-    schedule = make_schedule(n, rounds, per_round, seed=1)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=1)
+    schedule = [members[indptr[t] : indptr[t + 1]] for t in range(rounds)]
     params = SINRParameters.default()
     report: Dict[str, float] = {}
     for name in sorted(BACKENDS):
@@ -90,12 +94,12 @@ def bench_batch_vs_rounds(n: int, rounds: int, per_round: int) -> Dict[str, floa
         loop_seconds = time.perf_counter() - start
 
         start = time.perf_counter()
-        batch_result = backend.receptions_batch(schedule)
+        table = backend.receptions_table(indptr, members)
         batch_seconds = time.perf_counter() - start
 
         # Sanity: both paths must deliver to the same receivers.
-        for per_round_map, outcome in zip(loop_result, batch_result):
-            assert set(per_round_map) == set(int(r) for r in outcome.receivers)
+        for t, per_round_map in enumerate(loop_result):
+            assert set(per_round_map) == set(table.receivers[table.round_ids == t].tolist())
 
         report[f"{name}_loop_s"] = loop_seconds
         report[f"{name}_batch_s"] = batch_seconds
@@ -111,17 +115,17 @@ def bench_memory_scaling(n: int, rounds: int, per_round: int, budget_gb: float) 
     report["dense_fits_budget"] = float(dense_gb <= budget_gb)
 
     positions = positions_for(n)
-    schedule = make_schedule(n, rounds, per_round, seed=2)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=2)
     params = SINRParameters.default()
 
     tracemalloc.start()
     backend = LazyBlockBackend(positions, params)
-    deliveries = backend.receptions_batch(schedule)
+    deliveries = backend.receptions_table(indptr, members)
     _, peak = tracemalloc.get_traced_memory()
     tracemalloc.stop()
 
     report["lazy_peak_gb"] = peak / 1e9
-    report["lazy_deliveries"] = float(sum(len(outcome) for outcome in deliveries))
+    report["lazy_deliveries"] = float(len(deliveries))
     info = backend.cache_info()
     report["lazy_cached_rows"] = float(info["resident_rows"])
     report["lazy_cache_hits"] = float(info["hits"])
@@ -145,39 +149,39 @@ def bench_spatial_speedup(n: int, rounds: int) -> Dict[str, float]:
     """
     per_round = max(32, n // 20)
     positions = positions_for(n)
-    schedule = make_schedule(n, rounds, per_round, seed=3)
+    indptr, members = csr_schedule(n, rounds, per_round, seed=3)
     params = SINRParameters.default()
 
     # Equivalence pass (untimed; also serves as a warm-up of both paths).
     dense = make_backend("dense", positions, params)
     spatial = make_backend("spatial", positions, params)
-    for d_out, s_out in zip(dense.receptions_batch(schedule), spatial.receptions_batch(schedule)):
-        assert np.array_equal(d_out.receivers, s_out.receivers), "receivers diverged"
-        assert np.array_equal(d_out.senders, s_out.senders), "senders diverged"
+    d_out = dense.receptions_table(indptr, members)
+    s_out = spatial.receptions_table(indptr, members)
+    assert np.array_equal(d_out.round_ids, s_out.round_ids), "rounds diverged"
+    assert np.array_equal(d_out.receivers, s_out.receivers), "receivers diverged"
+    assert np.array_equal(d_out.senders, s_out.senders), "senders diverged"
 
     start = time.perf_counter()
-    dense_warm = dense.receptions_batch(schedule)
+    dense.receptions_table(indptr, members)
     dense_warm_s = time.perf_counter() - start
-    assert len(dense_warm) == rounds
     del dense
 
     start = time.perf_counter()
-    spatial_warm = spatial.receptions_batch(schedule)
+    spatial.receptions_table(indptr, members)
     spatial_warm_s = time.perf_counter() - start
-    assert len(spatial_warm) == rounds
     del spatial
 
     start = time.perf_counter()
     dense = make_backend("dense", positions, params)
     dense_build_s = time.perf_counter() - start
-    dense.receptions_batch(schedule)
+    dense.receptions_table(indptr, members)
     dense_total_s = time.perf_counter() - start
     del dense
 
     start = time.perf_counter()
     spatial = make_backend("spatial", positions, params)
     spatial_build_s = time.perf_counter() - start
-    spatial.receptions_batch(schedule)
+    spatial.receptions_table(indptr, members)
     spatial_total_s = time.perf_counter() - start
 
     return {
@@ -193,16 +197,11 @@ def bench_spatial_speedup(n: int, rounds: int) -> Dict[str, float]:
     }
 
 
-def csr_schedule(n: int, rounds: int, per_round: int, seed: int):
-    """The CSR ``(indptr, members)`` form of :func:`make_schedule`."""
-    rng = np.random.default_rng(seed)
-    members = [rng.choice(n, size=per_round, replace=False) for _ in range(rounds)]
-    indptr = np.arange(rounds + 1, dtype=np.int64) * per_round
-    return indptr, np.concatenate(members).astype(np.int64)
-
-
 def bench_batched_driver(n: int, rounds: int, per_round: int) -> Dict[str, float]:
     """The spatial backend's fused round driver against its own K=1 path.
+
+    Two backends over the same placement, one built with ``round_batch=1``
+    and one with ``round_batch="auto"`` (the default), run one schedule.
 
     The schedule is deliberately driver-bound -- many rounds, few
     transmitters each, unit-density placement (``side = sqrt(n)``, the
@@ -217,24 +216,25 @@ def bench_batched_driver(n: int, rounds: int, per_round: int) -> Dict[str, float
     positions = rng.uniform(0.0, float(np.sqrt(n)), size=(n, 2))
     indptr, members = csr_schedule(n, rounds, per_round, seed=4)
     params = SINRParameters.default()
-    backend = make_backend("spatial", positions, params)
+    single_backend = make_backend(("spatial", {"round_batch": 1}), positions, params)
+    fused_backend = make_backend(("spatial", {"round_batch": "auto"}), positions, params)
 
     # Warm up (grid build, listener buckets), then the equivalence pass.
-    single = backend.receptions_table(indptr, members, round_batch=1)
-    fused = backend.receptions_table(indptr, members, round_batch="auto")
+    single = single_backend.receptions_table(indptr, members)
+    fused = fused_backend.receptions_table(indptr, members)
     assert np.array_equal(single.round_ids, fused.round_ids), "round_ids diverged"
     assert np.array_equal(single.receivers, fused.receivers), "receivers diverged"
     assert np.array_equal(single.senders, fused.senders), "senders diverged"
     assert np.array_equal(single.sinr, fused.sinr), "SINR not bit-identical"
 
     start = time.perf_counter()
-    backend.receptions_table(indptr, members, round_batch=1)
+    single_backend.receptions_table(indptr, members)
     single_s = time.perf_counter() - start
 
     start = time.perf_counter()
-    backend.receptions_table(indptr, members, round_batch="auto")
+    fused_backend.receptions_table(indptr, members)
     fused_s = time.perf_counter() - start
-    info = backend.grid_info()
+    info = fused_backend.grid_info()
 
     return {
         "rounds": float(rounds),

@@ -27,6 +27,7 @@ notebook loaders of third-party artifacts).
 
 from __future__ import annotations
 
+import inspect
 from typing import Any, List, Mapping, Optional
 
 from .registry import ALGORITHMS, BACKENDS, CONFIG_PRESETS, DEPLOYMENTS, MOBILITY
@@ -59,6 +60,34 @@ def _registry_problem(field: str, name: Any, registry, label: str) -> Optional[s
     return f"{field}: unknown {label} {str(name)!r} (available: {', '.join(names)})"
 
 
+def _backend_param_problems(backend: str, options: Mapping[str, Any]) -> List[str]:
+    """Problems with ``backend_params``, judged by the named backend itself.
+
+    Keys must be constructor keywords of the backend (``make_backend``
+    passes the placement and the SINR parameters positionally first), and
+    values must pass the backend's own :attr:`PhysicsBackend.option_checks`
+    rules -- the same functions its constructor runs.
+    """
+    cls = BACKENDS[backend]
+    accepted = list(inspect.signature(cls).parameters)[2:]
+    problems: List[str] = []
+    for key, value in options.items():
+        field = f"deployment.backend_params.{key}"
+        if key not in accepted:
+            problems.append(
+                f"{field}: not an option of the {backend!r} backend (accepted: {', '.join(accepted)})"
+            )
+            continue
+        check = cls.option_checks.get(key)
+        if check is None:
+            continue
+        try:
+            check(value)
+        except ValueError as exc:
+            problems.append(f"{field}: {exc}")
+    return problems
+
+
 def validate_spec(spec: RunSpec) -> List[str]:
     """Check a spec's names against the live registries; return all problems.
 
@@ -66,7 +95,8 @@ def validate_spec(spec: RunSpec) -> List[str]:
     kind, algorithm name, config preset, physics backend or mobility kind
     may not be registered (typo, or a plugin not loaded in this process).
     Returns one message per problem -- an empty list means the executor's
-    registry lookups will all succeed.  Standalone algorithms (which build
+    registry lookups will all succeed and the backend accepts the spec's
+    ``backend_params``.  Standalone algorithms (which build
     their own network) skip the deployment-kind check, matching the
     executor; a spec with a dynamics block additionally validates the
     mobility kind and epoch count.
@@ -91,13 +121,9 @@ def validate_spec(spec: RunSpec) -> List[str]:
         if problem is not None:
             problems.append(problem)
         else:
-            rb = spec.deployment.backend_param_dict().get("round_batch")
-            if rb is not None and not (
-                rb == "auto" or (isinstance(rb, int) and not isinstance(rb, bool) and rb >= 1)
-            ):
-                problems.append(
-                    f"deployment.backend_params.round_batch: must be an int >= 1 or 'auto', got {rb!r}"
-                )
+            problems.extend(
+                _backend_param_problems(spec.deployment.backend, spec.deployment.backend_param_dict())
+            )
     if spec.dynamics is not None:
         if algorithm_entry is not None and algorithm_entry.standalone:
             problems.append(

@@ -73,11 +73,12 @@ def _run_probabilistic_rounds(
     The per-round coin flips do not depend on reception outcomes, so the
     whole transmission schedule is precomputed (with the exact RNG stream a
     round-by-round execution would draw) and evaluated in blocks of
-    ``chunk_rounds`` via :meth:`SINRSimulator.run_schedule`.  The completion
-    check runs between blocks; deliveries after the completion round are
-    discarded and ``completed_round`` / ``rounds_used`` keep the exact
-    round-by-round semantics (the simulator's global counter may run up to
-    ``chunk_rounds - 1`` rounds past completion, the price of batching).
+    ``chunk_rounds`` via :meth:`SINRSimulator.run_schedule_table`.  The
+    completion check runs between blocks; deliveries after the completion
+    round are discarded and ``completed_round`` / ``rounds_used`` keep the
+    exact round-by-round semantics (the simulator's global counter may run
+    up to ``chunk_rounds - 1`` rounds past completion, the price of
+    batching).
     """
     network = sim.network
     uids = list(network.uids)
@@ -85,19 +86,28 @@ def _run_probabilistic_rounds(
     result = RandomizedLocalBroadcastResult(delivered={uid: set() for uid in uids})
     start_round = sim.current_round
 
-    rounds: List[List[int]] = []
-    for local_round in range(1, max_rounds + 1):
-        selected = [
-            uid for uid in uids if rng.random() < probability_for_round(uid, local_round)
-        ]
-        rounds.append(selected)
+    tx_rounds: List[int] = []
+    tx_uids: List[int] = []
+    for local_round in range(max_rounds):
+        for uid in uids:
+            if rng.random() < probability_for_round(uid, local_round + 1):
+                tx_rounds.append(local_round)
+                tx_uids.append(uid)
+    round_ids = np.array(tx_rounds, dtype=np.int64)
+    members = np.array(tx_uids, dtype=np.int64)
 
     for chunk_start in range(0, max_rounds, chunk_rounds):
-        chunk = rounds[chunk_start : chunk_start + chunk_rounds]
-        deliveries = sim.run_schedule(chunk, phase="rand-local")
-        for offset, round_deliveries in enumerate(deliveries):
-            for listener, sender in round_deliveries:
-                result.delivered[sender].add(listener)
+        length = min(chunk_rounds, max_rounds - chunk_start)
+        lo, hi = np.searchsorted(round_ids, [chunk_start, chunk_start + length])
+        deliveries = sim.run_schedule_table(
+            length, round_ids[lo:hi] - chunk_start, members[lo:hi], phase="rand-local"
+        )
+        bounds = np.searchsorted(deliveries.round_ids, np.arange(length + 1))
+        receivers = deliveries.receiver_uids.tolist()
+        senders = deliveries.sender_uids.tolist()
+        for offset in range(length):
+            for i in range(bounds[offset], bounds[offset + 1]):
+                result.delivered[senders[i]].add(receivers[i])
             if stop_when_complete and all(
                 required[uid] <= result.delivered[uid] for uid in uids
             ):

@@ -55,15 +55,7 @@ from typing import Any, Dict, Optional, Sequence
 
 from . import api
 from .api import AlgorithmSpec, DeploymentSpec, DynamicsSpec, MobilitySpec, RunSpec
-from .core import AlgorithmConfig
-
-
-def _config_for(preset: str) -> AlgorithmConfig:
-    """Deprecated shim: resolve a preset name via ``api.CONFIG_PRESETS``."""
-    try:
-        return api.CONFIG_PRESETS.get(preset)()
-    except KeyError as exc:
-        raise ValueError(str(exc)) from None
+from .sinr.backends.spatial import _validate_round_batch
 
 
 #: Flag -> builder-parameter translation per deployment kind.  This is pure
@@ -80,18 +72,15 @@ _DEPLOYMENT_FLAGS = {
 
 
 def _parse_round_batch(value: str) -> object:
-    """argparse type for ``--round-batch``: an int >= 1 or the string 'auto'."""
-    if value == "auto":
-        return "auto"
+    """argparse type for ``--round-batch``: the spatial backend's own rule."""
     try:
-        parsed = int(value)
+        value = int(value)
     except ValueError:
-        raise argparse.ArgumentTypeError(
-            f"expected an integer >= 1 or 'auto', got {value!r}"
-        ) from None
-    if parsed < 1:
-        raise argparse.ArgumentTypeError(f"expected an integer >= 1 or 'auto', got {value!r}")
-    return parsed
+        pass  # "auto", or garbage the rule rejects
+    try:
+        return _validate_round_batch(value)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(str(exc)) from None
 
 
 def _deployment_spec(args: argparse.Namespace) -> DeploymentSpec:

@@ -12,11 +12,11 @@ dense node indices, transmitter/listener sets are converted to index arrays
 once per round, and uid translation of the results is a single fancy-indexing
 pass over the network's uid array -- there is no per-``Node`` attribute churn
 on the hot path.  On top of the per-round :meth:`SINRSimulator.run_round` it
-offers the batched :meth:`SINRSimulator.run_schedule`, which evaluates a
-whole precomputed sequence of transmitter sets through the physics backend's
-``receptions_batch`` in vectorized NumPy calls; all schedule-driven
-executions (:mod:`repro.simulation.schedule`, and through it every
-deterministic algorithm in :mod:`repro.core`) go through that path.
+offers the batched :meth:`SINRSimulator.run_schedule_table`, which evaluates
+a whole precomputed columnar transmitter table through one call to the
+physics backend's ``receptions_table``; all schedule-driven executions
+(:mod:`repro.simulation.schedule`, and through it every deterministic
+algorithm in :mod:`repro.core`) go through that path.
 
 Wake-up semantics (non-spontaneous wake-up model): sleeping nodes never
 listen -- they are dropped even from an explicitly passed ``listeners``
@@ -33,7 +33,7 @@ experiments.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Tuple
+from typing import Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -48,8 +48,7 @@ class ScheduleDeliveries:
 
     One row per successful reception: ``receiver_uids[i]`` decoded
     ``sender_uids[i]`` in schedule-relative round ``round_ids[i]``.  Rows are
-    sorted round-major.  This is what the columnar schedule runners consume;
-    :meth:`per_round_pairs` provides the legacy list-of-pairs view.
+    sorted round-major.  This is what the columnar schedule runners consume.
     """
 
     num_rounds: int
@@ -59,16 +58,6 @@ class ScheduleDeliveries:
 
     def __len__(self) -> int:
         return len(self.round_ids)
-
-    def per_round_pairs(self) -> List[List[Tuple[int, int]]]:
-        """Per-round ``(receiver uid, sender uid)`` pair lists (legacy shape)."""
-        bounds = np.searchsorted(self.round_ids, np.arange(self.num_rounds + 1))
-        receivers = self.receiver_uids.tolist()
-        senders = self.sender_uids.tolist()
-        return [
-            list(zip(receivers[bounds[t] : bounds[t + 1]], senders[bounds[t] : bounds[t + 1]]))
-            for t in range(self.num_rounds)
-        ]
 
 
 class SINRSimulator:
@@ -225,50 +214,6 @@ class SINRSimulator:
             )
         return delivered
 
-    def run_schedule(
-        self,
-        rounds: Sequence[Iterable[int]],
-        listeners: Optional[Iterable[int]] = None,
-        phase: str = "",
-        wake_on_reception: bool = False,
-        round_batch: Optional[object] = None,
-    ) -> List[List[Tuple[int, int]]]:
-        """Execute a precomputed sequence of transmitter sets as one batch.
-
-        ``rounds[t]`` holds the IDs transmitting in relative round ``t`` (an
-        empty set yields a charged-but-silent round, as in a faithful
-        execution).  The listener semantics per round are exactly those of
-        :meth:`run_round` -- same defaults, same half-duplex exclusion, same
-        sleeping/wake rules -- but the physics of all rounds is evaluated in
-        one call to the backend's ``receptions_batch``, which is what makes
-        long schedule executions fast.  Batching is exact (not an
-        approximation): transmitter sets are fixed in advance and a round's
-        outcome never depends on earlier listeners' outcomes, so the batch
-        and the round-by-round loop produce identical results.
-
-        Returns, per round, the list of ``(receiver ID, sender ID)``
-        deliveries.  Messages are not threaded through this API; callers
-        attach them per sender (see :mod:`repro.simulation.schedule`).
-        """
-        norm_rounds = [list(dict.fromkeys(int(u) for u in r)) for r in rounds]
-        counts = np.fromiter((len(r) for r in norm_rounds), dtype=np.int64, count=len(norm_rounds))
-        tx_uids = (
-            np.concatenate([np.asarray(r, dtype=np.int64) for r in norm_rounds if r])
-            if counts.sum()
-            else np.empty(0, dtype=np.int64)
-        )
-        round_ids = np.repeat(np.arange(len(norm_rounds), dtype=np.int64), counts)
-        deliveries = self.run_schedule_table(
-            len(norm_rounds),
-            round_ids,
-            tx_uids,
-            listeners=listeners,
-            phase=phase,
-            wake_on_reception=wake_on_reception,
-            round_batch=round_batch,
-        )
-        return deliveries.per_round_pairs()
-
     def run_schedule_table(
         self,
         num_rounds: int,
@@ -277,23 +222,25 @@ class SINRSimulator:
         listeners: Optional[Iterable[int]] = None,
         phase: str = "",
         wake_on_reception: bool = False,
-        round_batch: Optional[object] = None,
     ) -> ScheduleDeliveries:
-        """Execute a columnar transmitter table as one batch (the native path).
+        """Execute a precomputed columnar transmitter table as one batch.
 
         ``tx_round_ids`` / ``tx_uids`` are parallel arrays, sorted round-major
         with no duplicate uid within a round: entry ``i`` says node
-        ``tx_uids[i]`` transmits in relative round ``tx_round_ids[i]``.  The
-        semantics (listener defaults, half-duplex, wake model, counters,
-        trace records, silent-round charging) are exactly those of
-        :meth:`run_schedule`; the difference is purely representational --
-        transmitter sets stay NumPy arrays end to end and the result is a
-        columnar :class:`ScheduleDeliveries` table.
+        ``tx_uids[i]`` transmits in relative round ``tx_round_ids[i]``; a
+        round with no entry is a charged-but-silent round, as in a faithful
+        execution.  The listener semantics per round are exactly those of
+        :meth:`run_round` -- same defaults, same half-duplex exclusion, same
+        sleeping/wake rules -- but the physics of all rounds is evaluated in
+        one call to the backend's ``receptions_table``.  Batching is exact,
+        not an approximation: transmitter sets are fixed in advance and a
+        round's outcome never depends on earlier listeners' outcomes, so the
+        batch and the round-by-round loop produce identical results,
+        counters and trace records.
 
-        ``round_batch`` is forwarded to the physics backend as a
-        round-fusing performance hint (``int >= 1``, ``"auto"`` or ``None``
-        for the backend default); it never changes results and is ignored
-        by backends without a batched driver.
+        Returns the deliveries as a columnar :class:`ScheduleDeliveries`
+        table.  Messages are not threaded through this API; callers attach
+        them per sender (see :mod:`repro.simulation.schedule`).
         """
         tx_round_ids = np.ascontiguousarray(tx_round_ids, dtype=np.int64)
         tx_uids = np.ascontiguousarray(tx_uids, dtype=np.int64)
@@ -312,9 +259,7 @@ class SINRSimulator:
             if not wake_on_reception:
                 rx_candidates = rx_candidates[self._awake[rx_candidates]]
 
-        table = network.physics.receptions_table(
-            indptr, tx_indices, listeners=rx_candidates, round_batch=round_batch
-        )
+        table = network.physics.receptions_table(indptr, tx_indices, listeners=rx_candidates)
 
         if wake_on_reception and len(table):
             asleep = np.unique(table.receivers[~self._awake[table.receivers]])

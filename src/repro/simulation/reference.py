@@ -21,6 +21,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Dict, Iterable, List, Mapping, Optional, Sequence, Set
 
+from ..selectors._csr import RoundFamily
 from ..selectors.ssf import TransmissionSchedule
 from ..selectors.wcss import ClusterAwareSchedule
 from .engine import SINRSimulator
@@ -67,26 +68,31 @@ def _execute_rounds_reference(
 ) -> ReferenceScheduleResult:
     """Run precomputed per-round transmitter sets; collect per-event objects."""
     listener_list = list(listeners) if listeners is not None else None
-    deliveries = sim.run_schedule(
-        round_transmitters,
+    family = RoundFamily.from_sets(round_transmitters)
+    deliveries = sim.run_schedule_table(
+        len(family),
+        family.round_ids(),
+        family.members,
         listeners=listener_list,
         phase=phase,
         wake_on_reception=wake_on_reception,
     )
     result = ReferenceScheduleResult(length=schedule_length)
-    message_of: Dict[int, Message] = {}
     for t, transmitters in enumerate(round_transmitters):
-        if not transmitters:
-            continue
         for uid in transmitters:
             result.transmitted_rounds.setdefault(uid, []).append(t)
-        for receiver, sender in deliveries[t]:
-            message = message_of.get(sender)
-            if message is None:
-                message = message_of[sender] = factory(sender)
-            result.receptions.setdefault(receiver, []).append(
-                ReceptionEvent(round_index=t, sender=message.sender, message=message)
-            )
+    message_of: Dict[int, Message] = {}
+    for t, receiver, sender in zip(
+        deliveries.round_ids.tolist(),
+        deliveries.receiver_uids.tolist(),
+        deliveries.sender_uids.tolist(),
+    ):
+        message = message_of.get(sender)
+        if message is None:
+            message = message_of[sender] = factory(sender)
+        result.receptions.setdefault(receiver, []).append(
+            ReceptionEvent(round_index=t, sender=message.sender, message=message)
+        )
     return result
 
 

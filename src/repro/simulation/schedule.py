@@ -265,7 +265,6 @@ def run_schedule(
     listeners: Optional[Iterable[int]] = None,
     phase: str = "schedule",
     wake_on_reception: bool = False,
-    round_batch: Optional[object] = None,
 ) -> ScheduleResult:
     """Execute an (unclustered) schedule restricted to ``participants``.
 
@@ -286,10 +285,6 @@ def run_schedule(
     wake_on_reception:
         Let sleeping listeners decode and be woken by their first reception
         (see :meth:`~repro.simulation.engine.SINRSimulator.run_round`).
-    round_batch:
-        Round-fusing performance hint forwarded to the physics backend
-        (``int >= 1``, ``"auto"`` or ``None`` for the backend default);
-        never changes results.
     """
     factory = message_factory or _default_message(phase)
     mask = _participant_lookup(participants, schedule.id_space)
@@ -304,7 +299,6 @@ def run_schedule(
         listeners=listeners,
         phase=phase,
         wake_on_reception=wake_on_reception,
-        round_batch=round_batch,
     )
     return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
 
@@ -318,7 +312,6 @@ def run_cluster_schedule(
     listeners: Optional[Iterable[int]] = None,
     phase: str = "wcss",
     wake_on_reception: bool = False,
-    round_batch: Optional[object] = None,
 ) -> ScheduleResult:
     """Execute a cluster-aware schedule restricted to ``participants``.
 
@@ -365,7 +358,6 @@ def run_cluster_schedule(
         listeners=listeners,
         phase=phase,
         wake_on_reception=wake_on_reception,
-        round_batch=round_batch,
     )
     return _from_deliveries(deliveries, len(schedule), tx_round_ids, tx_uids, factory)
 
@@ -377,7 +369,6 @@ def run_round_robin(
     listeners: Optional[Iterable[int]] = None,
     phase: str = "round-robin",
     wake_on_reception: bool = False,
-    round_batch: Optional[object] = None,
 ) -> ScheduleResult:
     """Execute one round per participant, in increasing ID order.
 
@@ -395,6 +386,5 @@ def run_round_robin(
         listeners=listeners,
         phase=phase,
         wake_on_reception=wake_on_reception,
-        round_batch=round_batch,
     )
     return _from_deliveries(deliveries, len(tx_uids), tx_round_ids, tx_uids, factory)

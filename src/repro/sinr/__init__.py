@@ -17,14 +17,13 @@ from .backends import (
     DenseMatrixBackend,
     LazyBlockBackend,
     PhysicsBackend,
-    RoundReceptions,
+    Reception,
     make_backend,
 )
 from .metric import MetricNetwork, doubling_dimension_estimate
 from .model import NUMERIC_TOLERANCE, SINRParameters, log_star
 from .network import WirelessNetwork
 from .node import Node
-from .physics import PhysicsEngine, Reception, successful_links
 
 __all__ = [
     "BACKENDS",
@@ -36,8 +35,6 @@ __all__ = [
     "NUMERIC_TOLERANCE",
     "Node",
     "PhysicsBackend",
-    "PhysicsEngine",
-    "RoundReceptions",
     "make_backend",
     "Reception",
     "SINRParameters",
@@ -51,6 +48,5 @@ __all__ = [
     "log_star",
     "minimum_pairwise_distance",
     "pairwise_distances",
-    "successful_links",
     "unit_ball_density",
 ]

@@ -1,8 +1,8 @@
 """Pluggable SINR physics backends.
 
 Every backend implements the :class:`~repro.sinr.backends.base.PhysicsBackend`
-protocol -- one round via ``receptions()``, a whole schedule via
-``receptions_batch()`` -- and they are interchangeable everywhere a network or
+protocol -- one round via ``receptions()``, a whole CSR schedule via
+``receptions_table()`` -- and they are interchangeable everywhere a network or
 simulator needs physics.  Selection is by name (``"dense"``, ``"lazy"`` or
 ``"spatial"``) through :func:`make_backend`, threaded from
 ``WirelessNetwork(backend=...)``, the deployment generators, and the CLI's
@@ -16,7 +16,7 @@ from typing import Mapping, Tuple, Union
 import numpy as np
 
 from ..model import SINRParameters
-from .base import PhysicsBackend, Reception, RoundReceptions
+from .base import PhysicsBackend, Reception
 from .dense import DenseMatrixBackend
 from .lazy import LazyBlockBackend
 from .spatial import SpatialGridBackend
@@ -79,7 +79,6 @@ __all__ = [
     "LazyBlockBackend",
     "PhysicsBackend",
     "Reception",
-    "RoundReceptions",
     "SpatialGridBackend",
     "make_backend",
 ]

@@ -2,22 +2,26 @@
 
 A *backend* answers one question -- given a placement, the model parameters
 and a set of concurrent transmitters, which listeners decode which message --
-while being free to choose its own storage/compute trade-off.  Two backends
+while being free to choose its own storage/compute trade-off.  Three backends
 ship with the reproduction:
 
 * :class:`~repro.sinr.backends.dense.DenseMatrixBackend` precomputes the full
-  ``(n, n)`` received-power (gain) matrix; fastest per round, O(n^2) memory.
+  ``(n, n)`` received-power (gain) matrix; O(n^2) memory.
 * :class:`~repro.sinr.backends.lazy.LazyBlockBackend` computes gain blocks on
   demand from positions with an LRU block cache; O(n) resident memory, which
   unlocks deployments of 100k+ nodes.
+* :class:`~repro.sinr.backends.spatial.SpatialGridBackend` buckets nodes on
+  a grid and certifies the far field; O(n) memory and sub-quadratic rounds.
 
 The contract is a single primitive, :meth:`PhysicsBackend.gain_block`: the
 received-power sub-matrix for arbitrary sender/receiver index arrays.  All
 reception logic (:meth:`~PhysicsBackend.receptions` for one round,
-:meth:`~PhysicsBackend.receptions_batch` for a whole schedule) is implemented
-once in this base class on top of it, so every backend is guaranteed to
-realize the *same* physics; the property tests in ``tests/test_backends.py``
-additionally pin down their numerical equivalence.
+:meth:`~PhysicsBackend.receptions_table` for a whole CSR schedule) is
+implemented once in this base class on top of it, so every backend is
+guaranteed to realize the *same* physics; the dense and spatial backends
+override :meth:`~PhysicsBackend.receptions_table` with faster paths, and the
+property tests in ``tests/test_backends.py`` and
+``tests/test_backend_differential.py`` pin down their equivalence.
 
 Because the SINR threshold ``beta`` exceeds 1, at most one transmitter can be
 decoded by any listener per round, and -- since the SINR of a candidate is
@@ -29,7 +33,7 @@ from __future__ import annotations
 
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
-from typing import Dict, Iterable, List, Optional, Sequence
+from typing import Callable, Dict, Iterable, List, Mapping, Optional, Sequence
 
 import numpy as np
 
@@ -53,38 +57,6 @@ class Reception:
 
 
 @dataclass(frozen=True)
-class RoundReceptions:
-    """Vector-form outcome of one round inside a batched evaluation.
-
-    ``receivers[k]`` decoded ``senders[k]`` with SINR ``sinr[k]``; the arrays
-    are index-aligned and sorted by receiver index.  :meth:`as_dict` converts
-    to the per-listener :class:`Reception` mapping of the round-by-round API.
-    """
-
-    receivers: np.ndarray
-    senders: np.ndarray
-    sinr: np.ndarray
-
-    def __len__(self) -> int:
-        return len(self.receivers)
-
-    def as_dict(self) -> Dict[int, Reception]:
-        """The round-by-round ``receptions()`` representation of this round."""
-        return {
-            int(r): Reception(receiver=int(r), sender=int(s), sinr=float(q))
-            for r, s, q in zip(self.receivers, self.senders, self.sinr)
-        }
-
-
-def _empty_round() -> RoundReceptions:
-    return RoundReceptions(
-        receivers=np.empty(0, dtype=int),
-        senders=np.empty(0, dtype=int),
-        sinr=np.empty(0, dtype=float),
-    )
-
-
-@dataclass(frozen=True)
 class DeliveryTable:
     """Columnar outcome of a whole schedule: one row per successful reception.
 
@@ -103,24 +75,6 @@ class DeliveryTable:
 
     def __len__(self) -> int:
         return len(self.round_ids)
-
-    def split_rounds(self) -> List[RoundReceptions]:
-        """Per-round :class:`RoundReceptions` views (legacy batch shape)."""
-        bounds = np.searchsorted(self.round_ids, np.arange(self.num_rounds + 1))
-        out: List[RoundReceptions] = []
-        for t in range(self.num_rounds):
-            lo, hi = bounds[t], bounds[t + 1]
-            if lo == hi:
-                out.append(_empty_round())
-            else:
-                out.append(
-                    RoundReceptions(
-                        receivers=self.receivers[lo:hi],
-                        senders=self.senders[lo:hi],
-                        sinr=self.sinr[lo:hi],
-                    )
-                )
-        return out
 
 
 def _empty_table(num_rounds: int) -> DeliveryTable:
@@ -141,9 +95,15 @@ class PhysicsBackend(ABC):
     """
 
     #: Soft cap on the number of gain-matrix elements materialized at once by
-    #: :meth:`receptions_batch` (rows x listeners per chunk); keeps peak
+    #: :meth:`receptions_table` (rows x listeners per chunk); keeps peak
     #: memory bounded even for long schedules over large deployments.
     _BATCH_BLOCK_ELEMENTS = 4_000_000
+
+    #: Value rules for constructor options, keyed by keyword: each function
+    #: normalizes a value or raises ``ValueError``.  The constructor runs
+    #: them, and :func:`repro.api.validate_spec` runs them on a spec's
+    #: ``backend_params`` before anything executes.
+    option_checks: Mapping[str, Callable[[object], object]] = {}
 
     def __init__(self, params: SINRParameters) -> None:
         self._params = params
@@ -328,8 +288,6 @@ class PhysicsBackend(ABC):
         tx_indptr: np.ndarray,
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
-        *,
-        round_batch: Optional[object] = None,
     ) -> DeliveryTable:
         """Evaluate a whole CSR schedule of transmitter sets, columnarly.
 
@@ -342,18 +300,10 @@ class PhysicsBackend(ABC):
         chunked vectorized passes with no per-round Python containers, and
         the result is a single columnar :class:`DeliveryTable`.
 
-        ``round_batch`` is a performance hint -- how many consecutive rounds
-        a backend may fuse into one composite evaluation (an ``int >= 1``,
-        ``"auto"``, or ``None`` for the backend's configured default).  It
-        never changes results; backends without a batched driver (this
-        generic path, dense, lazy) accept and ignore it so callers can
-        thread the knob uniformly.
-
         Subclasses may override with a faster representation-specific path
         (see the dense backend's gemm/top-k implementation); the generic
         implementation only relies on :meth:`gain_block`.
         """
-        del round_batch  # accepted for signature uniformity; no batched driver here
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
         num_rounds = len(tx_indptr) - 1
@@ -420,46 +370,3 @@ class PhysicsBackend(ABC):
             senders=np.concatenate(out_senders),
             sinr=np.concatenate(out_sinr),
         )
-
-    def receptions_batch(
-        self,
-        schedule: Sequence[Sequence[int]],
-        listeners: Optional[Sequence[int]] = None,
-    ) -> List[RoundReceptions]:
-        """Evaluate a whole sequence of transmitter sets in vectorized calls.
-
-        ``schedule[t]`` is the transmitter index set of round ``t``; the same
-        ``listeners`` apply to every round (default: all nodes), except that a
-        round's own transmitters never receive (half-duplex).  Equivalent to
-        calling :meth:`receptions` once per round -- the property tests assert
-        exactly that.  This is a thin compatibility wrapper over the columnar
-        :meth:`receptions_table`; new code should prefer the table API.
-
-        Returns one :class:`RoundReceptions` per round, in order.
-        """
-        norm_rounds = [
-            np.fromiter(dict.fromkeys(int(t) for t in r), dtype=np.int64)
-            for r in schedule
-        ]
-        indptr = np.zeros(len(norm_rounds) + 1, dtype=np.int64)
-        np.cumsum([len(r) for r in norm_rounds], out=indptr[1:])
-        members = (
-            np.concatenate(norm_rounds) if norm_rounds else np.empty(0, dtype=np.int64)
-        )
-        rx = self._normalize_listeners(listeners)
-        table = self.receptions_table(indptr, members, listeners=rx)
-        return table.split_rounds()
-
-    def reception_matrix(self, transmitters: Sequence[int]) -> np.ndarray:
-        """Boolean matrix ``M[i, j]``: listener ``j`` decodes ``transmitters[i]``.
-
-        Mostly useful for analysis and tests; the simulator itself uses
-        :meth:`receptions`.
-        """
-        transmitters = list(dict.fromkeys(int(t) for t in transmitters))
-        matrix = np.zeros((len(transmitters), self.size), dtype=bool)
-        outcome = self.receptions(transmitters)
-        index_of = {t: i for i, t in enumerate(transmitters)}
-        for receiver, reception in outcome.items():
-            matrix[index_of[reception.sender], receiver] = True
-        return matrix

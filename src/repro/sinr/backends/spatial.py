@@ -162,9 +162,10 @@ class SpatialGridBackend(PhysicsBackend):
         an ``int >= 1`` or ``"auto"`` (the default), which sizes batches to
         ~4096 schedule entries, capped at 64 rounds.  Purely a performance
         knob -- results are bit-identical for every value (``1`` disables
-        fusing and runs the per-round core).  Individual
-        ``receptions_table`` calls may override it.
+        fusing and runs the per-round core).
     """
+
+    option_checks = {"round_batch": _validate_round_batch}
 
     def __init__(
         self,
@@ -813,9 +814,7 @@ class SpatialGridBackend(PhysicsBackend):
             for r, s, q in zip(recv, send, sinr)
         }
 
-    def _resolve_round_batch(
-        self, override: Optional[object], tx_indptr: np.ndarray, tx_members: np.ndarray
-    ) -> int:
+    def _resolve_round_batch(self, tx_indptr: np.ndarray, tx_members: np.ndarray) -> int:
         """Concrete batch size for this run: the knob, or the auto heuristic.
 
         ``"auto"`` targets ~``_AUTO_BATCH_TARGET`` schedule entries per
@@ -823,14 +822,13 @@ class SpatialGridBackend(PhysicsBackend):
         sparse rounds (the TDMA/backoff regime where the per-round call
         floor dominates) batch up to ``_MAX_ROUND_BATCH``.
         """
-        value = self._round_batch if override is None else _validate_round_batch(override)
-        if value == "auto":
-            num_rounds = len(tx_indptr) - 1
-            if num_rounds <= 1:
-                return 1
-            avg = tx_members.size / num_rounds
-            return int(max(1, min(_MAX_ROUND_BATCH, _AUTO_BATCH_TARGET // max(1.0, avg))))
-        return int(value)
+        if self._round_batch != "auto":
+            return int(self._round_batch)
+        num_rounds = len(tx_indptr) - 1
+        if num_rounds <= 1:
+            return 1
+        avg = tx_members.size / num_rounds
+        return int(max(1, min(_MAX_ROUND_BATCH, _AUTO_BATCH_TARGET // max(1.0, avg))))
 
     def _batch_core(
         self,
@@ -1012,8 +1010,6 @@ class SpatialGridBackend(PhysicsBackend):
         tx_indptr: np.ndarray,
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
-        *,
-        round_batch: Optional[object] = None,
     ) -> DeliveryTable:
         """Columnar schedule evaluation through the spatial round core.
 
@@ -1023,17 +1019,16 @@ class SpatialGridBackend(PhysicsBackend):
         through :meth:`_batch_core` (or evaluated one by one through
         :meth:`_round_core` when the resolved batch size is 1).  Results
         are bit-identical for every batch size -- fusing only amortizes the
-        per-round NumPy call floors.  ``round_batch`` overrides the
-        backend's configured default for this call (``int >= 1`` or
-        ``"auto"``); :meth:`grid_info` reports the resolved size and the
-        per-run fuse counters.  Semantically identical to the generic
-        chunked path (property-tested against the dense backend).
+        per-round NumPy call floors.  :meth:`grid_info` reports the
+        resolved size and the per-run fuse counters.  Semantically
+        identical to the generic chunked path (property-tested against the
+        dense backend).
         """
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
         num_rounds = len(tx_indptr) - 1
         rx = self._normalize_listeners(listeners)
-        batch = self._resolve_round_batch(round_batch, tx_indptr, tx_members)
+        batch = self._resolve_round_batch(tx_indptr, tx_members)
         bstats = self._batch_stats
         for key in bstats:
             bstats[key] = 0

@@ -230,6 +230,36 @@ class TestRegistries:
         assert not api.ALGORITHMS.get("cluster").standalone
 
 
+class TestBackendParamValidation:
+    @pytest.mark.parametrize(
+        "backend, params, problem",
+        [
+            ("dense", {"round_batch": 4}, "not an option of the 'dense' backend"),
+            ("dense", {"bogus": 1}, "not an option of the 'dense' backend"),
+            ("dense", {"gain_dtype": "int8"}, "gain_dtype must be float64 or float32"),
+            ("spatial", {"round_batch": 16}, None),
+        ],
+    )
+    def test_validate_spec_agrees_with_the_backend(self, backend, params, problem):
+        spec = RunSpec(
+            deployment=DeploymentSpec(
+                "line", {"nodes": 5}, seed=1, backend=backend, backend_params=params
+            ),
+            algorithm=AlgorithmSpec("cluster", preset="fast"),
+        )
+        problems = api.validate_spec(spec)
+        if problem is None:
+            assert problems == []
+            assert api.run(spec).checks == {"valid_clustering": True}
+            return
+        (key,) = params
+        assert len(problems) == 1
+        assert problems[0].startswith(f"deployment.backend_params.{key}: ")
+        assert problem in problems[0]
+        with pytest.raises(ValueError):
+            api.run(spec)
+
+
 # --------------------------------------------------------------------- #
 # Executor: run / run_grid / run_many.
 # --------------------------------------------------------------------- #

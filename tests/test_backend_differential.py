@@ -195,28 +195,6 @@ class TestCrossBackendMatrix:
                 reference, other.receptions_table(indptr, members)
             )
 
-    def test_per_call_override_beats_constructor_knob(self):
-        n = 20
-        positions = random_positions(3, n)
-        indptr, members = schedule_csr("ssf", n, 3)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=64)
-        batched = backend.receptions_table(indptr, members)
-        assert backend.grid_info()["round_batch"] > 1
-        single = backend.receptions_table(indptr, members, round_batch=1)
-        assert backend.grid_info()["round_batch"] == 1
-        assert_tables_bit_identical(batched, single)
-
-    def test_dense_and_lazy_accept_round_batch_hint(self):
-        """The knob is a portable perf hint: non-spatial backends ignore it."""
-        n = 12
-        positions = random_positions(5, n)
-        indptr, members = schedule_csr("tdma", n, 5)
-        for cls in (DenseMatrixBackend, LazyBlockBackend):
-            backend = cls(positions.copy(), PARAMS)
-            plain = backend.receptions_table(indptr, members)
-            hinted = backend.receptions_table(indptr, members, round_batch=7)
-            assert_tables_bit_identical(plain, hinted)
-
 
 class TestFloat32DenseLeg:
     def test_events_exact_sinr_loose_on_separated_deployment(self):
@@ -341,13 +319,16 @@ class TestBatchedDriverProperties:
         n = 16
         positions = random_positions(9, n)
         indptr, members = _random_csr(n, 9, rounds=6)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
-        backend.receptions_table(indptr, members)
+        SpatialGridBackend(positions.copy(), PARAMS, round_batch=1).receptions_table(
+            indptr, members
+        )
         assert calls["batch"] == 0
         assert calls["round"] > 0
 
         calls["round"] = calls["batch"] = 0
-        backend.receptions_table(indptr, members, round_batch=3)
+        SpatialGridBackend(positions.copy(), PARAMS, round_batch=3).receptions_table(
+            indptr, members
+        )
         assert calls["batch"] > 0
         assert calls["round"] == 0
 
@@ -359,10 +340,8 @@ class TestBatchedDriverProperties:
             SpatialGridBackend(positions, PARAMS, round_batch="fast")
         with pytest.raises(ValueError):
             SpatialGridBackend(positions, PARAMS, round_batch=True)
-        backend = SpatialGridBackend(positions, PARAMS)
-        indptr, members = _random_csr(8, 1, 3)
         with pytest.raises(ValueError):
-            backend.receptions_table(indptr, members, round_batch=-2)
+            SpatialGridBackend(positions, PARAMS, round_batch=-2)
 
 
 class TestEdgeCases:
@@ -682,25 +661,27 @@ class TestKernelBackendLeg:
 
 
 # --------------------------------------------------------------------- #
-# Runner-level threading: the knob reaches the backend through the stack.
+# Runner-level threading: the constructor knob (as `backend_params` pass it)
+# holds through the schedule runners.
 # --------------------------------------------------------------------- #
 
 
 class TestRunnerThreading:
     def test_run_schedule_round_batch_equivalent(self):
         net_a = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend="spatial")
+                                          backend=("spatial", {"round_batch": 1}))
         net_b = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend="spatial")
+                                          backend=("spatial", {"round_batch": 16}))
         sched = ssf.prime_residue_ssf(64, 4)
         ids = list(net_a.uids)
-        res_a = run_schedule(SINRSimulator(net_a), sched, ids, round_batch=1)
-        res_b = run_schedule(SINRSimulator(net_b), sched, ids, round_batch=16)
+        res_a = run_schedule(SINRSimulator(net_a), sched, ids)
+        res_b = run_schedule(SINRSimulator(net_b), sched, ids)
         ra, sa, va = res_a.event_table()
         rb, sb, vb = res_b.event_table()
         assert np.array_equal(ra, rb)
         assert np.array_equal(sa, sb)
         assert np.array_equal(va, vb)
+        assert net_a.physics.grid_info()["round_batch"] == 1
         info = net_b.physics.grid_info()
         assert info["round_batch"] == 16
         assert info["rounds_fused"] > 0

@@ -4,10 +4,11 @@ The load-bearing guarantees:
 
 * ``DenseMatrixBackend`` and ``LazyBlockBackend`` produce identical
   ``receptions()`` on random deployments (property test);
-* ``receptions_batch`` matches round-by-round ``receptions`` for both
+* ``receptions_table`` matches round-by-round ``receptions`` for both
   backends (property test);
-* the batched simulator path (``SINRSimulator.run_schedule``) is equivalent
-  to a round-by-round execution, counters and wake state included;
+* the batched simulator path (``SINRSimulator.run_schedule_table``) is
+  equivalent to a round-by-round execution, counters and wake state
+  included;
 * backend selection threads through ``WirelessNetwork``, the deployment
   generators and the CLI.
 """
@@ -21,6 +22,7 @@ from hypothesis import strategies as st
 
 from repro.cli import main as cli_main
 from repro.core import AlgorithmConfig, local_broadcast
+from repro.selectors._csr import RoundFamily
 from repro.simulation.engine import SINRSimulator
 from repro.simulation.messages import Message
 from repro.sinr import deployment
@@ -29,11 +31,11 @@ from repro.sinr.backends import (
     DenseMatrixBackend,
     LazyBlockBackend,
     PhysicsBackend,
+    Reception,
     make_backend,
 )
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 from repro.sinr.network import WirelessNetwork
-from repro.sinr.physics import PhysicsEngine
 
 
 def random_positions(seed: int, n: int, side: float = 3.0) -> np.ndarray:
@@ -60,6 +62,34 @@ def assert_receptions_close(a, b):
         other = b[receiver]
         assert other.sender == reception.sender
         assert other.sinr == pytest.approx(reception.sinr, rel=1e-9)
+
+
+def assert_table_matches_rounds(backend, schedule, listeners=None):
+    """One ``receptions_table`` call over ``schedule`` == per-round ``receptions``."""
+    family = RoundFamily.from_sets(schedule)
+    table = backend.receptions_table(family.indptr, family.members, listeners)
+    assert table.num_rounds == len(schedule)
+    for t, tx in enumerate(schedule):
+        rows = table.round_ids == t
+        outcome = {
+            int(r): Reception(receiver=int(r), sender=int(s), sinr=float(q))
+            for r, s, q in zip(table.receivers[rows], table.senders[rows], table.sinr[rows])
+        }
+        assert_receptions_close(outcome, backend.receptions(tx, listeners=listeners))
+    return table
+
+
+def run_rounds(sim, rounds, **kwargs):
+    """Run per-round uid lists through ``run_schedule_table``.
+
+    Returns one ``{receiver uid: sender uid}`` dict per round.
+    """
+    family = RoundFamily.from_sets(rounds)
+    out = sim.run_schedule_table(len(family), family.round_ids(), family.members, **kwargs)
+    per_round = [{} for _ in rounds]
+    for t, r, s in zip(out.round_ids.tolist(), out.receiver_uids.tolist(), out.sender_uids.tolist()):
+        per_round[t][r] = s
+    return per_round
 
 
 class TestBackendEquivalence:
@@ -141,32 +171,22 @@ class TestReceptionsBatch:
         rng = np.random.default_rng(seed + 1)
         schedule = [list(np.flatnonzero(rng.random(n) < 0.35)) for _ in range(rounds)]
         for backend in both_backends(positions):
-            batch = backend.receptions_batch(schedule)
-            assert len(batch) == rounds
-            for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(outcome.as_dict(), backend.receptions(tx))
+            assert_table_matches_rounds(backend, schedule)
 
     def test_batch_respects_listener_restriction(self):
         positions = random_positions(5, 14)
         listeners = [1, 3, 5, 7]
         schedule = [[0, 2], [4], [], [0, 6, 8]]
         for backend in both_backends(positions):
-            batch = backend.receptions_batch(schedule, listeners=listeners)
-            for tx, outcome in zip(schedule, batch):
-                assert_receptions_close(
-                    outcome.as_dict(), backend.receptions(tx, listeners=listeners)
-                )
-                assert set(outcome.receivers) <= set(listeners)
+            table = assert_table_matches_rounds(backend, schedule, listeners)
+            assert set(table.receivers.tolist()) <= set(listeners)
 
     def test_batch_chunking_boundary(self):
         # Force a tiny block budget so the chunking path is exercised.
         positions = random_positions(9, 10)
-        dense, _ = both_backends(positions)
-        dense._BATCH_BLOCK_ELEMENTS = 10
-        schedule = [[0, 1], [2, 3], [4, 5], [0, 5], []]
-        batch = dense.receptions_batch(schedule)
-        for tx, outcome in zip(schedule, batch):
-            assert_receptions_close(outcome.as_dict(), dense.receptions(tx))
+        for backend in both_backends(positions):
+            backend._BATCH_BLOCK_ELEMENTS = 10
+            assert_table_matches_rounds(backend, [[0, 1], [2, 3], [4, 5], [0, 5], []])
 
 
 class TestSimulatorBatchPath:
@@ -180,12 +200,12 @@ class TestSimulatorBatchPath:
         ]
         batch_sim = SINRSimulator(network_a)
         loop_sim = SINRSimulator(network_b)
-        batched = batch_sim.run_schedule(rounds, phase="x")
+        batched = run_rounds(batch_sim, rounds, phase="x")
         for tx_uids, batched_round in zip(rounds, batched):
             delivered = loop_sim.run_round(
                 {uid: Message(sender=uid, tag="x") for uid in tx_uids}, phase="x"
             )
-            assert dict(batched_round) == {
+            assert batched_round == {
                 listener: message.sender for listener, message in delivered.items()
             }
         assert batch_sim.current_round == loop_sim.current_round
@@ -197,10 +217,8 @@ class TestSimulatorBatchPath:
         sim = SINRSimulator(network)
         source = network.uids[0]
         sim.put_all_to_sleep(except_for=[source])
-        deliveries = sim.run_schedule(
-            [[source]], listeners=network.uids, wake_on_reception=True
-        )
-        woken = {receiver for receiver, _ in deliveries[0]}
+        deliveries = run_rounds(sim, [[source]], listeners=network.uids, wake_on_reception=True)
+        woken = set(deliveries[0])
         assert woken
         for uid in woken:
             assert sim.is_awake(uid)
@@ -210,13 +228,13 @@ class TestSimulatorBatchPath:
         sim = SINRSimulator(network)
         source = network.uids[0]
         sim.put_all_to_sleep(except_for=[source])
-        deliveries = sim.run_schedule([[source]], listeners=network.uids)
-        assert deliveries == [[]]
+        deliveries = run_rounds(sim, [[source]], listeners=network.uids)
+        assert deliveries == [{}]
 
     def test_run_schedule_charges_silent_rounds(self):
         network = deployment.line(3)
         sim = SINRSimulator(network, record_trace=True)
-        sim.run_schedule([[], [network.uids[0]], [], []], phase="s")
+        run_rounds(sim, [[], [network.uids[0]], [], []], phase="s")
         assert sim.current_round == 4
         records = sim.trace.records
         assert records[0].skipped == 1
@@ -245,11 +263,6 @@ class TestBackendSelection:
         assert set(BACKENDS) == {"dense", "lazy", "spatial"}
         for cls in BACKENDS.values():
             assert issubclass(cls, PhysicsBackend)
-
-    def test_physics_engine_is_dense_backend(self):
-        engine = PhysicsEngine(random_positions(1, 4), SINRParameters.default())
-        assert isinstance(engine, DenseMatrixBackend)
-        assert isinstance(engine, PhysicsBackend)
 
     def test_lazy_backend_has_no_distance_matrix(self):
         _, lazy = both_backends(random_positions(2, 5))

@@ -21,6 +21,7 @@ from hypothesis import strategies as st
 
 from repro.core import AlgorithmConfig
 from repro.core.proximity import build_proximity_graph, build_proximity_graph_reference
+from repro.selectors._csr import RoundFamily
 from repro.selectors.ssf import TransmissionSchedule, greedy_random_ssf, prime_residue_ssf
 from repro.selectors.wcss import ClusterAwareSchedule, random_wcss
 from repro.selectors.wss import random_wss
@@ -215,7 +216,14 @@ class TestListenerPoolNormalization:
         sim = SINRSimulator(network)
         rng = np.random.default_rng(1)
         rounds = [[u for u in network.uids if rng.random() < 0.4] for _ in range(10)]
-        return rounds, [sorted(r) for r in sim.run_schedule(rounds, listeners=listeners)]
+        family = RoundFamily.from_sets(rounds)
+        out = sim.run_schedule_table(
+            len(family), family.round_ids(), family.members, listeners=listeners
+        )
+        per_round = [[] for _ in rounds]
+        for t, r, s in zip(out.round_ids.tolist(), out.receiver_uids.tolist(), out.sender_uids.tolist()):
+            per_round[t].append((r, s))
+        return rounds, [sorted(r) for r in per_round]
 
     def test_permuted_listener_pool_matches_natural_order(self):
         network = deployment.uniform_random(12, area_side=2.5, seed=4)

@@ -7,9 +7,8 @@ import pytest
 
 from repro.core import AlgorithmConfig, build_clustering, local_broadcast
 from repro.simulation import SINRSimulator
-from repro.sinr import MetricNetwork, SINRParameters, doubling_dimension_estimate
+from repro.sinr import DenseMatrixBackend, MetricNetwork, SINRParameters, doubling_dimension_estimate
 from repro.sinr.geometry import pairwise_distances
-from repro.sinr.physics import PhysicsEngine
 
 
 def line_metric(n: int, spacing: float = 0.7) -> np.ndarray:
@@ -29,8 +28,8 @@ class TestPhysicsFromDistances:
         rng = np.random.default_rng(3)
         points = rng.uniform(0, 2, size=(8, 2))
         params = SINRParameters.default()
-        by_positions = PhysicsEngine(points, params)
-        by_distances = PhysicsEngine.from_distance_matrix(pairwise_distances(points), params)
+        by_positions = DenseMatrixBackend(points, params)
+        by_distances = DenseMatrixBackend.from_distance_matrix(pairwise_distances(points), params)
         transmitters = [0, 3, 5]
         assert by_positions.receptions(transmitters).keys() == by_distances.receptions(transmitters).keys()
         for listener, reception in by_positions.receptions(transmitters).items():
@@ -39,7 +38,7 @@ class TestPhysicsFromDistances:
             assert reception.sinr == pytest.approx(other.sinr)
 
     def test_positions_unavailable_for_metric_engine(self):
-        engine = PhysicsEngine.from_distance_matrix(line_metric(4), SINRParameters.default())
+        engine = DenseMatrixBackend.from_distance_matrix(line_metric(4), SINRParameters.default())
         with pytest.raises(ValueError):
             _ = engine.positions
         assert engine.distance(0, 1) == pytest.approx(0.7)
@@ -49,13 +48,13 @@ class TestPhysicsFromDistances:
         bad = line_metric(3)
         bad[0, 1] = 9.0
         with pytest.raises(ValueError):
-            PhysicsEngine.from_distance_matrix(bad, params)
+            DenseMatrixBackend.from_distance_matrix(bad, params)
         with pytest.raises(ValueError):
-            PhysicsEngine.from_distance_matrix(-line_metric(3), params)
+            DenseMatrixBackend.from_distance_matrix(-line_metric(3), params)
 
     def test_requires_positions_or_distances(self):
         with pytest.raises(ValueError):
-            PhysicsEngine(None, SINRParameters.default())
+            DenseMatrixBackend(None, SINRParameters.default())
 
 
 class TestMetricNetwork:

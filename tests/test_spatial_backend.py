@@ -151,13 +151,13 @@ class TestSpatialDenseEquivalence:
     def test_batch_respects_listener_restriction(self):
         positions = random_positions(5, 14)
         listeners = [1, 3, 5, 7]
-        schedule = [[0, 2], [4], [], [0, 6, 8]]
+        # Rounds [0, 2], [4], [], [0, 6, 8] in CSR form.
+        indptr = np.array([0, 2, 3, 3, 6], dtype=np.int64)
+        members = np.array([0, 2, 4, 0, 6, 8], dtype=np.int64)
         dense, spatial = both_backends(positions)
-        for tx, outcome in zip(schedule, spatial.receptions_batch(schedule, listeners=listeners)):
-            assert_receptions_close(
-                outcome.as_dict(), dense.receptions(tx, listeners=listeners)
-            )
-            assert set(outcome.receivers) <= set(listeners)
+        table = spatial.receptions_table(indptr, members, listeners)
+        assert_tables_equal(dense.receptions_table(indptr, members, listeners), table)
+        assert set(table.receivers.tolist()) <= set(listeners)
 
     def test_co_located_nodes_handled_identically(self):
         positions = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.6, 0.1]])
