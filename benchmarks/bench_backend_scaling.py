@@ -138,8 +138,8 @@ def bench_spatial_speedup(n: int, rounds: int) -> Dict[str, float]:
     The gated number is *time to solution on a fresh deployment* --
     constructor plus whole-schedule evaluation -- which is what the
     paper-scale experiments pay: the dense constructor is O(n^2) in time
-    and memory and its first batch additionally builds the per-listener
-    rank table.  Once those one-time costs are sunk the dense GEMM path is
+    and memory and its first batch additionally builds the in-range
+    relation.  Once those one-time costs are sunk the dense GEMM path is
     very fast, so the warm steady-state batch time is recorded alongside
     (unguarded) for honesty: spatial's case is one-shot workloads and the
     beyond-dense-memory regime, not warm-cache GEMM throughput at small n.

@@ -143,8 +143,8 @@ class PhysicsBackend(ABC):
         """Move the nodes at ``indices`` to coordinates ``new_xy``, in place.
 
         Backends update only the state the move actually touches (gain
-        rows/columns of the moved nodes, cached rank tables, cached rows)
-        instead of rebuilding from scratch; after the call the backend is
+        rows/columns of the moved nodes, the dense in-range relation, cached
+        rows) instead of rebuilding from scratch; after the call the backend is
         indistinguishable from one freshly constructed over the new
         placement (property-tested in ``tests/test_incremental_physics.py``).
         ``indices`` must be duplicate-free.
@@ -301,8 +301,9 @@ class PhysicsBackend(ABC):
         the result is a single columnar :class:`DeliveryTable`.
 
         Subclasses may override with a faster representation-specific path
-        (see the dense backend's gemm/top-k implementation); the generic
-        implementation only relies on :meth:`gain_block`.
+        (see the dense backend's in-range candidate pass with BLAS
+        interference totals); the generic implementation only relies on
+        :meth:`gain_block`.
         """
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)

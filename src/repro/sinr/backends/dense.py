@@ -1,10 +1,13 @@
 """Dense-matrix physics backend: precomputed O(n^2) gain matrix.
 
 The historical (and default) backend of the reproduction: at construction it
-materializes the full pairwise received-power matrix, after which every round
-is a handful of numpy reductions over sub-matrices.  Fastest per round for
-deployments that fit in memory (~tens of thousands of nodes); switch to
-:class:`~repro.sinr.backends.lazy.LazyBlockBackend` beyond that.
+materializes the full pairwise received-power matrix.  A schedule is then
+evaluated in chunks of rounds: one BLAS product gives every round's
+interference totals, and only the listeners within range 1 of a transmitter
+(a sender -> listener CSR built once from the matrix) are examined as
+candidates.  Fastest for deployments that fit in memory (~tens of thousands
+of nodes); switch to :class:`~repro.sinr.backends.spatial.SpatialGridBackend`
+beyond that.
 
 This is also the only backend that supports *metric-only* construction from
 a pairwise-distance matrix (the paper's footnote-1 generalization to
@@ -14,13 +17,16 @@ recompute distances from.
 
 from __future__ import annotations
 
-from typing import List, Optional, Sequence
+from typing import List, Optional, Sequence, Tuple
 
 import numpy as np
 
 from ..geometry import pairwise_distances
 from ..model import NUMERIC_TOLERANCE, SINRParameters
 from .base import COLOCATED_GAIN, DeliveryTable, PhysicsBackend, _empty_table
+
+#: Sender -> listener CSR of the in-range pairs: ``(indptr, listeners)``.
+InRange = Tuple[np.ndarray, np.ndarray]
 
 
 def _validate_gain_dtype(value: object) -> np.dtype:
@@ -36,6 +42,11 @@ def _validate_gain_dtype(value: object) -> np.dtype:
 
 class DenseMatrixBackend(PhysicsBackend):
     """Evaluates SINR receptions from a precomputed dense gain matrix.
+
+    Schedules run through :meth:`receptions_table`, which examines only the
+    in-range (sender, listener) pairs: a CSR built from the gain matrix on
+    the first evaluation (never in the constructor) and patched in place by
+    :meth:`update_positions`.
 
     Parameters
     ----------
@@ -107,7 +118,7 @@ class DenseMatrixBackend(PhysicsBackend):
         gains[np.isinf(gains)] = self._colocated_gain
         self._gains = gains.astype(gain_dtype, copy=False)
         self._distances = distances
-        self._topk: Optional[np.ndarray] = None
+        self._in_range: Optional[InRange] = None
 
     @classmethod
     def from_distance_matrix(
@@ -185,8 +196,8 @@ class DenseMatrixBackend(PhysicsBackend):
     def update_positions(self, indices: np.ndarray, new_xy: np.ndarray) -> None:
         """Move nodes, recomputing only the touched gain/distance rows and columns.
 
-        Cost is O(m * n) for ``m`` moved nodes (plus an O((K + m) * n) patch
-        of the cached top-K rank table when one exists) instead of the
+        Cost is O(m * n) for ``m`` moved nodes (plus an O(m * n + nnz) patch
+        of the in-range relation when it has been built) instead of the
         O(n^2) full rebuild -- the speedup
         ``benchmarks/bench_dynamic_incremental.py`` records.
         """
@@ -197,13 +208,16 @@ class DenseMatrixBackend(PhysicsBackend):
         positions[indices] = new_xy
         diff = positions[indices][:, None, :] - positions[None, :, :]
         dist = np.sqrt(np.einsum("ijk,ijk->ij", diff, diff))
+        # Columns go through flat indices: np.put scatters them faster than
+        # a strided column assignment.
+        columns = (np.arange(0, self._n * self._n, self._n)[:, None] + indices).ravel()
         self._distances[indices, :] = dist
-        self._distances[:, indices] = dist.T
-        gains = self._gain_rows(dist, indices)
+        np.put(self._distances, columns, dist.T)
+        gains = self._gain_rows(dist, indices).astype(self._gain_dtype, copy=False)
         self._gains[indices, :] = gains
-        self._gains[:, indices] = gains.T
-        if self._topk is not None:
-            self._patch_topk(indices)
+        np.put(self._gains, columns, gains.T)
+        if self._in_range is not None:
+            self._patch_in_range(indices)
 
     def add_nodes(self, new_xy: np.ndarray) -> None:
         """Append nodes: one O(m * n) distance/gain band, no full rebuild."""
@@ -231,8 +245,8 @@ class DenseMatrixBackend(PhysicsBackend):
         gains[old_n:, :] = gain_band
         gains[:, old_n:] = gain_band.T
         self._gains = gains
-        # The rank table is rebuilt lazily on the next batched evaluation.
-        self._topk = None
+        # The in-range relation is rebuilt lazily on the next evaluation.
+        self._in_range = None
 
     def remove_nodes(self, indices: np.ndarray) -> None:
         """Delete nodes and compact the matrices (works for metric-only backends too)."""
@@ -249,103 +263,70 @@ class DenseMatrixBackend(PhysicsBackend):
         self._distances = self._distances[np.ix_(keep, keep)]
         self._gains = self._gains[np.ix_(keep, keep)]
         self._n = len(keep)
-        self._topk = None
+        self._in_range = None
 
     # ------------------------------------------------------------------ #
-    # Columnar schedule evaluation (gemm + top-k fast path).
+    # Columnar schedule evaluation (in-range candidates + BLAS totals).
     # ------------------------------------------------------------------ #
 
-    #: Per-listener strongest-sender table depth.  48 ranks make the
-    #: probability that none of a round's transmitters appears in a
-    #: listener's table negligible for the selector densities the paper's
-    #: schedules use; misses fall back to an exact gather.
-    _TOPK_DEPTH = 48
+    def _in_range_keys(self, block: np.ndarray, first_sender: int = 0) -> np.ndarray:
+        """Ascending keys ``sender * n + listener`` of the in-range pairs of a row block.
 
-    def _topk_table(self) -> np.ndarray:
-        """``(K, n)`` sender indices, per listener column sorted by gain desc.
-
-        Built lazily on the first batched schedule evaluation and reused for
-        every subsequent schedule over this placement.  Rationale: the
-        strongest transmitter of a round, at listener ``j``, is the
-        best-*globally-ranked* member of the transmitter set -- so if any of
-        ``j``'s top-K senders transmits, the decoded sender is the first of
-        them in rank order, found with one boolean gather instead of an
-        argmax over the full gain sub-matrix.
+        ``block`` holds the stored gain rows of senders ``first_sender``,
+        ``first_sender + 1``, ...; a pair is in range exactly when
+        :meth:`hears_alone` holds for it.
         """
-        if self._topk is None:
-            # Ties (equal gains, e.g. equidistant or co-located senders) are
-            # ranked in arbitrary partition order.  That never changes a
-            # reported delivery: with beta > 1 a listener decodes only a
-            # *strict* strongest transmitter (two tied maxima bound its SINR
-            # below 1), so tied senders are only ever picked for listeners
-            # that fail the threshold anyway.
-            k = min(self._TOPK_DEPTH, self._n)
-            self._topk = self._topk_columns(np.arange(self._n), k)
-        return self._topk
+        widened = block.astype(np.float64, copy=False)
+        hears = widened / self._params.noise >= self._params.beta - NUMERIC_TOLERANCE
+        return np.flatnonzero(hears) + first_sender * self._n
 
-    def _topk_columns(self, cols: np.ndarray, k: int) -> np.ndarray:
-        """Exact ``(k, len(cols))`` strongest-sender table for the given listeners."""
-        identity = len(cols) == self._n and bool(np.array_equal(cols, np.arange(self._n)))
-        sub = self._gains if identity else self._gains[:, cols]
-        part = np.argpartition(-sub, k - 1, axis=0)[:k]
-        part_gains = np.take_along_axis(sub, part, axis=0)
-        order = np.argsort(-part_gains, axis=0, kind="stable")
-        return np.take_along_axis(part, order, axis=0)
+    def _csr(self, keys: np.ndarray) -> InRange:
+        """The CSR of ascending pair keys."""
+        n = self._n
+        indptr = np.searchsorted(keys, np.arange(n + 1) * n)
+        return indptr, keys - np.repeat(np.arange(0, n * n, n), np.diff(indptr))
 
-    def _patch_topk(self, moved: np.ndarray) -> None:
-        """Patch the cached rank table after the nodes in ``moved`` changed position.
+    def _in_range_csr(self) -> InRange:
+        """Sender -> listener CSR ``(indptr, listeners)`` of the in-range pairs.
 
-        Columns of *moved listeners* are recomputed exactly (every gain in
-        the column changed).  Every other column is patched in place: the
-        moved senders (at their new gains) are merged into the column's
-        retained entries, and any slot that can no longer be proven exact is
-        padded with the weakest provably-exact entry.  The table invariant
-        the fast reception path relies on -- every sender absent from a
-        column is at most as strong as every entry in it -- is preserved:
-
-        * an absent non-moved sender was already outside the exact top-K, so
-          it is bounded by the old K-th gain, which is at most ``gmin`` (the
-          weakest retained non-moved entry);
-        * an absent moved sender was explicitly compared against the kept
-          entries during the merge.
-
-        Padding duplicates an in-table sender, which is harmless to the
-        first-present-in-rank-order winner scan.
+        ``(s, j)`` is in range when ``j`` hears ``s`` alone
+        (:meth:`hears_alone`).  With ``P = N * beta`` this is the unit-disk
+        relation, so a listener with no in-range transmitter can never
+        decode.  Built from the gain matrix (metric-only and float32
+        backends included) on the first schedule evaluation, in row blocks
+        of the batch budget, and kept in step by :meth:`update_positions`.
         """
-        topk = self._topk
-        k = topk.shape[0]
-        moved_mask = np.zeros(self._n, dtype=bool)
-        moved_mask[moved] = True
-        keep_cols = np.flatnonzero(~moved_mask)
-        fresh = [moved]
-        if keep_cols.size:
-            # Work listener-major ((c, k + m) row-contiguous arrays): the
-            # per-column sort below is the hot operation and is several times
-            # faster along the last axis.
-            retained = np.ascontiguousarray(topk[:, keep_cols].T)  # (c, k)
-            stale = moved_mask[retained]  # entries whose gain changed under them
-            cand = np.hstack(
-                [retained, np.broadcast_to(moved[None, :], (keep_cols.size, len(moved)))]
-            )
-            cand_gain = self._gains[cand, keep_cols[:, None]]
-            # Old occurrences of moved senders are superseded by the appended
-            # fresh copies; sink them to the bottom of the ordering.
-            cand_gain[:, :k][stale] = -np.inf
-            nonmoved_gain = np.where(stale, np.inf, cand_gain[:, :k])
-            gmin = nonmoved_gain.min(axis=1)
-            # A column whose entries all moved retains no exact anchor.
-            wholly_stale = ~np.isfinite(gmin)
-            order = np.argsort(-cand_gain, axis=1, kind="stable")[:, :k]
-            new_entries = np.take_along_axis(cand, order, axis=1)
-            new_gain = np.take_along_axis(cand_gain, order, axis=1)
-            unsafe = new_gain < gmin[:, None]  # a suffix of each (sorted) row
-            safe_count = k - unsafe.sum(axis=1)
-            pad = new_entries[np.arange(keep_cols.size), np.maximum(safe_count - 1, 0)]
-            topk[:, keep_cols] = np.where(unsafe, pad[:, None], new_entries).T
-            if wholly_stale.any():
-                fresh.append(keep_cols[wholly_stale])
-        fresh_cols = np.concatenate(fresh)
-        topk[:, fresh_cols] = self._topk_columns(fresh_cols, k)
+        if self._in_range is None:
+            rows = max(1, self._BATCH_BLOCK_ELEMENTS // self._n)
+            keys = [
+                self._in_range_keys(self._gains[lo : lo + rows], lo)
+                for lo in range(0, self._n, rows)
+            ]
+            self._in_range = self._csr(np.concatenate(keys))
+        return self._in_range
+
+    def _patch_in_range(self, moved: np.ndarray) -> None:
+        """Re-derive the in-range pairs touching ``moved`` nodes; keep the rest.
+
+        :meth:`update_positions` writes the moved nodes' gain columns from
+        their rows, so one O(m * n) pass over the rows yields both the moved
+        senders' pairs and, mirrored, the fixed senders' pairs with moved
+        listeners.  Merging them into the retained keys is O(nnz): a stable
+        sort of two concatenated sorted runs.
+        """
+        indptr, listeners = self._in_range
+        n = self._n
+        is_moved = np.zeros(n, dtype=bool)
+        is_moved[moved] = True
+        moved = np.flatnonzero(is_moved)
+        counts = np.diff(indptr)
+        keys = np.repeat(np.arange(0, n * n, n), counts) + listeners
+        kept = keys[~(np.repeat(is_moved, counts) | is_moved[listeners])]
+        senders, heard = np.divmod(self._in_range_keys(self._gains[moved]), n)
+        senders = moved[senders]
+        mirror = ~is_moved[heard]
+        added = np.sort(np.concatenate([senders * n + heard, heard[mirror] * n + senders[mirror]]))
+        self._in_range = self._csr(np.sort(np.concatenate([kept, added]), kind="stable"))
 
     def receptions_table(
         self,
@@ -353,33 +334,35 @@ class DenseMatrixBackend(PhysicsBackend):
         tx_members: np.ndarray,
         listeners: Optional[Sequence[int]] = None,
     ) -> DeliveryTable:
-        """Columnar schedule evaluation specialized to the dense matrix.
+        """Columnar schedule evaluation restricted to in-range candidates.
 
-        Two structural shortcuts over the generic chunked path, with
-        identical semantics:
+        Rounds with a transmitter are evaluated in chunks of at most
+        ``_BATCH_BLOCK_ELEMENTS // n`` rounds (fewer when their candidate
+        pairs would outgrow the same memory budget), with no per-round
+        Python loop.  Per chunk:
 
-        * per-round interference totals for *all* rounds come from one BLAS
-          matrix product (0/1 round-membership matrix x gain matrix) instead
-          of per-round gather-and-sum;
-        * the strongest transmitter per listener is read off the cached
-          per-listener top-K rank table (:meth:`_topk_table`); rounds whose
-          transmitter set misses a listener's table fall back to an exact
-          gather for just those listeners.
+        1. one BLAS product (0/1 round-membership matrix x gain matrix)
+           yields every round's total received power at every node;
+        2. each transmitter entry expands into its in-range listeners
+           (:meth:`_in_range_csr`);
+        3. pairs whose listener is outside the pool, or transmits in that
+           round (half-duplex), are dropped;
+        4. the SINR threshold is applied to every remaining pair, reading
+           the totals at its listener;
+        5. one sort orders the receptions by (round, listener) and keeps
+           the strongest sender of each (the first in transmitter order on
+           a tie, as :meth:`receptions` picks it).  Only a strict strongest
+           transmitter can pass unless beta is within rounding of 1.
 
+        Exact, not a filter heuristic.  A total is a sum of non-negative
+        gains, so in floating point it is at least the gain of each
+        transmitter, and a pair's SINR is at most ``gain / noise``: a pair
+        outside the in-range relation fails the threshold however low the
+        interference.  The SINR is monotone in the sender's own gain, so
+        when any sender passes at a listener, its strongest one does.
         Reported SINR values can differ from the generic path in the last
-        ulp (BLAS accumulation order), which is within the documented
-        cross-backend tolerance.
-
-        The override is not faster everywhere.  Local broadcast (preset
-        ``fast``, seed 5, NumPy kernels, 2 vCPUs), this path vs the generic
-        one: n=400 3.4 s vs 1.7 s, n=1000 8.4 s vs 8.7 s (near the
-        crossover), n=2000 24.3 s vs 45.2 s; global broadcast on the 20-hop
-        strip 2.9 s vs 1.8 s.  The top-K scan costs the same per round
-        whatever the transmitter count ``k_t``, while the generic path's
-        gather grows with ``k_t`` (about 21 per round at n=400, 109 at
-        n=2000).  It stays for the large-n win; picking the path by size is
-        a separate performance change that needs a benchmark workload at
-        n >= 1000 first.
+        ulp (BLAS accumulation order), within the documented cross-backend
+        tolerance.
         """
         tx_indptr = np.ascontiguousarray(tx_indptr, dtype=np.int64)
         tx_members = np.ascontiguousarray(tx_members, dtype=np.int64)
@@ -392,76 +375,82 @@ class DenseMatrixBackend(PhysicsBackend):
         gains = self._gains
         noise = self._params.noise
         threshold = self._params.beta - NUMERIC_TOLERANCE
+        reach_ptr, reach_rx = self._in_range_csr()
+        flat_gains = gains.reshape(-1)
         pos_in_rx = np.full(n, -1, dtype=np.int64)
         pos_in_rx[rx] = np.arange(rx.size)
-        # Gain columns restricted to the listener pool (no copy when the pool
-        # is exactly the identity order, the common case for schedule
-        # executions; a permuted or partial pool needs the gather).
-        identity_pool = rx.size == n and bool(np.array_equal(rx, np.arange(n)))
-        gains_rx = gains if identity_pool else gains[:, rx]
-        topk_rx = self._topk_table()[:, rx]
-        cols = np.arange(rx.size)
-        in_tx = np.zeros(n, dtype=bool)
+        counts = np.diff(tx_indptr)
+        live = np.flatnonzero(counts)  # rounds with at least one transmitter
+        entry_row = np.repeat(np.arange(live.size), counts[live])
+        # Chunks of live rounds: at most ``_BATCH_BLOCK_ELEMENTS // n`` rows of
+        # the membership and totals blocks, and candidate pairs in about as
+        # many bytes (a chunk always takes at least one round).
+        entry_pairs = np.diff(reach_ptr)[tx_members]
+        pairs_before = np.concatenate(
+            [[0], np.cumsum(np.add.reduceat(entry_pairs, tx_indptr[live]))]
+        )
+        max_rows = max(1, self._BATCH_BLOCK_ELEMENTS // n)
+        max_pairs = self._BATCH_BLOCK_ELEMENTS // 8
 
         out_rounds: List[np.ndarray] = []
         out_receivers: List[np.ndarray] = []
         out_senders: List[np.ndarray] = []
         out_sinr: List[np.ndarray] = []
 
-        round_ids_all = np.repeat(np.arange(num_rounds, dtype=np.int64), np.diff(tx_indptr))
-        chunk_rounds = max(1, self._BATCH_BLOCK_ELEMENTS // max(n, rx.size))
-        for start in range(0, num_rounds, chunk_rounds):
-            end = min(num_rounds, start + chunk_rounds)
-            lo, hi = int(tx_indptr[start]), int(tx_indptr[end])
-            if lo == hi:
-                continue
-            members_chunk = tx_members[lo:hi]
-            # One BLAS product yields every round's per-listener total power.
+        a = 0
+        while a < live.size:
+            b = int(np.searchsorted(pairs_before, pairs_before[a] + max_pairs, side="right")) - 1
+            b = min(live.size, a + max_rows, max(b, a + 1))
+            lo, hi = int(tx_indptr[live[a]]), int(tx_indptr[live[b - 1] + 1])
+            members = tx_members[lo:hi]
+            rows = entry_row[lo:hi] - a
             # The membership matrix matches the gain storage dtype so a
             # float32 matrix multiplies without an O(n^2) float64 upcast.
-            membership = np.zeros((end - start, n), dtype=gains.dtype)
-            membership[round_ids_all[lo:hi] - start, members_chunk] = 1.0
-            totals = membership @ gains_rx
+            membership = np.zeros((b - a, n), dtype=gains.dtype)
+            membership[rows, members] = 1.0
+            totals = membership @ gains
 
-            for t in range(start, end):
-                t_lo, t_hi = int(tx_indptr[t]), int(tx_indptr[t + 1])
-                if t_lo == t_hi:
-                    continue
-                tx_slice = tx_members[t_lo:t_hi]
-                in_tx[tx_slice] = True
-                present = in_tx[topk_rx]
-                first = present.argmax(axis=0)
-                senders = topk_rx[first, cols]
-                missed = np.flatnonzero(~present[first, cols])
-                if missed.size:
-                    # No table entry transmits for these listeners: exact
-                    # gather over the round's transmitter set.
-                    sub = gains[np.ix_(tx_slice, rx[missed])]
-                    senders[missed] = tx_slice[sub.argmax(axis=0)]
-                in_tx[tx_slice] = False
+            # Expand every transmitter entry into its in-range listeners.
+            deg = entry_pairs[lo:hi]
+            entry = np.repeat(np.arange(members.size), deg)
+            pair = np.arange(entry.size) + np.repeat(reach_ptr[members] - (np.cumsum(deg) - deg), deg)
+            row = rows[entry]
+            listener = reach_rx[pair]
+            # Half-duplex: a round's transmitters never receive in it.
+            cand = np.flatnonzero((pos_in_rx[listener] >= 0) & (membership[row, listener] == 0))
+            row, listener, entry = row[cand], listener[cand], entry[cand]
+            # Widen to float64 before the SINR arithmetic so float32 storage
+            # only contributes its rounding of the stored gains.
+            gain = flat_gains[members[entry] * n + listener].astype(np.float64)
+            total = totals[row, listener].astype(np.float64, copy=False)
+            sinr = gain / (noise + (total - gain))
+            ok = np.flatnonzero(sinr >= threshold)
 
-                # Widen to float64 before the SINR arithmetic so float32
-                # storage only contributes its rounding of the stored gains.
-                best_gain = gains_rx[senders, cols].astype(np.float64, copy=False)
-                total_power = totals[t - start].astype(np.float64, copy=False)
-                best_sinr = best_gain / (noise + (total_power - best_gain))
-                ok = best_sinr >= threshold
-                # Half-duplex: a round's transmitters never receive in it.
-                own = pos_in_rx[tx_slice]
-                ok[own[own >= 0]] = False
-                picked = np.flatnonzero(ok)
-                if not picked.size:
-                    continue
-                out_rounds.append(np.full(picked.size, t, dtype=np.int64))
-                out_receivers.append(rx[picked])
-                out_senders.append(senders[picked])
-                out_sinr.append(best_sinr[picked])
+            # One sort orders the receptions by (round, listener): the key
+            # sits in the high bits, the position (transmitter order) in the
+            # low.  A key can repeat only when beta is within rounding of 1;
+            # its strongest sender (the first on a tie) is kept.
+            shift = int(ok.size).bit_length()
+            key = row[ok] * rx.size + pos_in_rx[listener[ok]]
+            packed = np.sort((key << shift) | np.arange(ok.size))
+            key = packed >> shift
+            ok = ok[packed & ((1 << shift) - 1)]
+            starts = np.flatnonzero(np.diff(key, prepend=-1))
+            strongest = np.repeat(np.maximum.reduceat(gain[ok], starts), np.diff(starts, append=ok.size))
+            best = np.flatnonzero(gain[ok] == strongest)
+            ok = ok[best[np.diff(key[best], prepend=-1) != 0]]
+            out_rounds.append(live[a + row[ok]])
+            out_receivers.append(listener[ok])
+            out_senders.append(members[entry[ok]])
+            out_sinr.append(sinr[ok])
+            a = b
 
-        if not out_rounds:
+        round_ids = np.concatenate(out_rounds)
+        if not round_ids.size:
             return _empty_table(num_rounds)
         return DeliveryTable(
             num_rounds=num_rounds,
-            round_ids=np.concatenate(out_rounds),
+            round_ids=round_ids,
             receivers=np.concatenate(out_receivers),
             senders=np.concatenate(out_senders),
             sinr=np.concatenate(out_sinr),

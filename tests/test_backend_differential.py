@@ -52,7 +52,8 @@ from repro.sinr.backends import (
     SpatialGridBackend,
 )
 from repro.sinr.backends import _kernels
-from repro.sinr.model import SINRParameters
+from repro.sinr.backends.base import COLOCATED_GAIN
+from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 
 PARAMS = SINRParameters.default()
 
@@ -588,6 +589,19 @@ class TestGoldenDigests:
                 json.dump(fresh, fh, indent=2, sort_keys=True)
                 fh.write("\n")
 
+    def test_dense_reproduces_corpus(self):
+        """The dense backend's in-range path digests to every committed entry."""
+        with open(GOLDEN_PATH) as fh:
+            corpus = json.load(fh)
+        for spec in GOLDEN_SPECS:
+            positions = random_positions(spec["seed"], spec["n"], spec["side"])
+            indptr, members = schedule_csr(spec["family"], spec["n"], spec["seed"])
+            table = DenseMatrixBackend(positions, PARAMS).receptions_table(indptr, members)
+            whole, _ = _event_digests(table)
+            assert whole == corpus[spec["name"]]["table"], (
+                f"dense backend diverges from the corpus on {spec['name']!r}"
+            )
+
     @pytest.mark.parametrize("batch", [1, 7, 64])
     def test_corpus_batch_invariant(self, batch):
         """Every golden entry digests identically at every batch size."""
@@ -598,6 +612,205 @@ class TestGoldenDigests:
             assert whole == corpus[spec["name"]]["table"], (
                 f"{spec['name']!r} diverges at round_batch={batch}"
             )
+
+
+# --------------------------------------------------------------------- #
+# Dense in-range path against the per-round oracle, on the edge cases.
+# --------------------------------------------------------------------- #
+
+
+def oracle_table(backend, indptr, members, listeners=None):
+    """``(round, receiver, sender, sinr)`` columns from per-round ``receptions()``."""
+    rounds, receivers, senders, sinr = [], [], [], []
+    for t in range(len(indptr) - 1):
+        tx = members[indptr[t]:indptr[t + 1]]
+        for receiver, rec in backend.receptions(tx, listeners=listeners).items():
+            rounds.append(t)
+            receivers.append(receiver)
+            senders.append(rec.sender)
+            sinr.append(rec.sinr)
+    return (np.array(rounds, dtype=np.int64), np.array(receivers, dtype=np.int64),
+            np.array(senders, dtype=np.int64), np.array(sinr, dtype=float))
+
+
+def assert_dense_matches_oracle(backend, indptr, members, listeners=None, rel=1e-9):
+    """Events exact and SINR to ``rel``: the dense path against ``receptions()``."""
+    table = backend.receptions_table(indptr, members, listeners=listeners)
+    rounds, receivers, senders, sinr = oracle_table(backend, indptr, members, listeners)
+    assert table.num_rounds == len(indptr) - 1
+    assert np.array_equal(table.round_ids, rounds)
+    assert np.array_equal(table.receivers, receivers)
+    assert np.array_equal(table.senders, senders)
+    if rel is not None:
+        np.testing.assert_allclose(table.sinr, sinr, rtol=rel)
+    return table
+
+
+def assert_in_range_is_hears_alone(backend):
+    """The cached CSR is exactly ``{(s, j): hears_alone(s, j)}``, sorted."""
+    indptr, listeners = backend._in_range_csr()
+    n = backend.size
+    senders = np.repeat(np.arange(n), np.diff(indptr))
+    assert np.all(np.diff(senders * n + listeners) > 0)
+    expected = [(s, j) for s in range(n) for j in range(n) if backend.hears_alone(s, j)]
+    assert list(zip(senders.tolist(), listeners.tolist())) == expected
+
+
+class TestDenseAgainstOracle:
+    def test_range_boundary_and_one_ulp_either_side(self):
+        """Listeners at distance 1, at the tolerance edge, and 1 ulp off each."""
+        edge = (PARAMS.power / (PARAMS.noise * (PARAMS.beta - NUMERIC_TOLERANCE))) ** (
+            1.0 / PARAMS.alpha
+        )
+        radii = [1.0, np.nextafter(1.0, 0.0), np.nextafter(1.0, 2.0),
+                 edge, np.nextafter(edge, 0.0), np.nextafter(edge, 2.0)]
+        # The sender sits at the origin; the listeners either spread over
+        # six rays or stack along one axis (nearly co-located).
+        angles = np.arange(len(radii)) * (2 * np.pi / len(radii))
+        ring = np.column_stack([np.cos(angles), np.sin(angles)]) * np.array(radii)[:, None]
+        axis = np.array([[r, 0.0] for r in radii])
+        for placement in (ring, axis):
+            positions = np.vstack([[0.0, 0.0], placement])
+            backend = DenseMatrixBackend(positions, PARAMS)
+            assert_in_range_is_hears_alone(backend)
+            indptr, members = schedule_csr("tdma", len(positions), 0)
+            assert_dense_matches_oracle(backend, indptr, members)
+            # The sender alone: exactly the listeners that hear it alone decode.
+            table = backend.receptions_table(np.array([0, 1]), np.array([0]))
+            heard = [j for j in range(1, len(positions)) if backend.hears_alone(0, j)]
+            assert table.receivers.tolist() == heard
+            assert backend.hears_alone(0, 1)  # distance exactly 1 is in range
+
+    def test_colocated_nodes(self):
+        positions = np.array([[0.0, 0.0], [0.0, 0.0], [0.5, 0.0], [0.5, 0.0],
+                              [0.5, 0.0], [2.0, 0.0], [1.2, 0.6]])
+        backend = DenseMatrixBackend(positions, PARAMS)
+        assert backend.gain(0, 1) == COLOCATED_GAIN
+        assert_in_range_is_hears_alone(backend)
+        assert_dense_matches_oracle(backend, *schedule_csr("tdma", len(positions), 0))
+        assert_dense_matches_oracle(backend, *_random_csr(len(positions), 3, rounds=40))
+        # Two co-located transmitters tie at every listener: nobody decodes.
+        table = backend.receptions_table(np.array([0, 2]), np.array([0, 1]))
+        assert len(table) == 0
+
+    def test_threshold_within_rounding_of_one(self):
+        """beta = 1 + 1e-13: tied and near-tied senders both clear the threshold.
+
+        Co-located transmitters reach a co-located listener with equal,
+        huge gains, and two senders 1e-5 away at distances 1e-19 apart
+        with nearly equal ones, so each has SINR ~1 >= beta - tolerance.
+        The dense path must still report one sender per listener, the one
+        ``receptions()`` picks (the strongest, first in transmitter order).
+        """
+        params = SINRParameters(beta=1.0 + 1e-13)
+        assert params.beta - NUMERIC_TOLERANCE < 1.0
+        positions = np.array([[2.0, 0.0], [2.0, 0.0], [2.0, 0.0], [2.0, 1e-3],
+                              [2.4, 0.0], [2.4, 0.0], [5.0, 0.0],
+                              [0.0, 0.0], [1e-5, 0.0], [-1.00000000000001e-5, 0.0]])
+        backend = DenseMatrixBackend(positions, params)
+        indptr = np.array([0, 2, 4, 7, 9, 11], dtype=np.int64)
+        members = np.array([0, 1, 1, 0, 3, 1, 4, 5, 4, 9, 8], dtype=np.int64)
+        table = assert_dense_matches_oracle(backend, indptr, members)
+        assert len(np.unique(table.round_ids * 10 + table.receivers)) == len(table)
+        assert table.senders[(table.round_ids == 1) & (table.receivers == 2)].tolist() == [1]
+        assert table.senders[(table.round_ids == 4) & (table.receivers == 7)].tolist() == [8]
+        assert_dense_matches_oracle(backend, *_random_csr(len(positions), 5, rounds=30))
+
+    def test_float32_storage(self):
+        """Events exact; lone transmitters exact; reciprocal SINR to 1e-5.
+
+        float32 storage sums interference in float32 (the documented
+        opt-in trade), so only single-transmitter rounds carry the 1e-9
+        SINR contract; otherwise the reciprocal SINR is the bounded quantity.
+        """
+        positions = random_positions(47, 30)
+        backend = DenseMatrixBackend(positions, PARAMS, gain_dtype=np.float32)
+        assert_in_range_is_hears_alone(backend)
+        assert_dense_matches_oracle(backend, *schedule_csr("tdma", 30, 0))
+        for family in ("ssf", "random-empties"):
+            indptr, members = schedule_csr(family, 30, 47)
+            table = assert_dense_matches_oracle(backend, indptr, members, rel=None)
+            sinr = oracle_table(backend, indptr, members)[3]
+            np.testing.assert_allclose(1.0 / table.sinr, 1.0 / sinr, rtol=0, atol=1e-5)
+
+    def test_metric_only_backend(self):
+        """``from_distance_matrix`` over a non-Euclidean metric."""
+        rng = np.random.default_rng(53)
+        points = random_positions(53, 24, 3.0)
+        distances = np.sqrt(((points[:, None] - points[None]) ** 2).sum(-1))
+        stretch = rng.uniform(1.0, 1.2, size=distances.shape)
+        distances = distances * np.sqrt(stretch * stretch.T)
+        backend = DenseMatrixBackend.from_distance_matrix(distances, PARAMS)
+        assert_in_range_is_hears_alone(backend)
+        for family in ("ssf", "tdma", "random-empties"):
+            assert_dense_matches_oracle(backend, *schedule_csr(family, 24, 53))
+
+    def test_listener_pools(self):
+        n = 28
+        backend = DenseMatrixBackend(random_positions(59, n, 3.0), PARAMS)
+        indptr, members = schedule_csr("random-empties", n, 59)
+        perm = np.random.default_rng(59).permutation(n)
+        pools = {
+            "permuted": perm,
+            "duplicated": np.concatenate([perm, perm[:9], perm[3:6]]),
+            "partial": perm[: n // 3],
+            "partial-sorted": np.sort(perm[: n // 2]),
+            "python-list": [int(v) for v in perm[5:20]] + [int(perm[5])],
+        }
+        for pool in pools.values():
+            assert_dense_matches_oracle(backend, indptr, members, listeners=pool)
+
+    def test_every_node_transmits(self):
+        n = 14
+        backend = DenseMatrixBackend(random_positions(61, n), PARAMS)
+        indptr = np.arange(4, dtype=np.int64) * n
+        members = np.tile(np.arange(n, dtype=np.int64), 3)
+        assert len(assert_dense_matches_oracle(backend, indptr, members)) == 0
+        mixed_ptr = np.array([0, n, n + 3, 2 * n + 3], dtype=np.int64)
+        mixed = np.concatenate([np.arange(n), [0, 5, 9], np.arange(n)[::-1]])
+        assert_dense_matches_oracle(backend, mixed_ptr, mixed)
+
+    def test_runs_of_empty_rounds_across_chunks(self, monkeypatch):
+        n = 20
+        backend = DenseMatrixBackend(random_positions(67, n, 3.0), PARAMS)
+        rng = np.random.default_rng(67)
+        counts = []
+        for run in range(12):
+            counts += [0] * int(rng.integers(0, 6))  # leading, interior runs
+            counts += [int(rng.integers(1, 8)) for _ in range(int(rng.integers(1, 4)))]
+        counts += [0] * 7  # trailing run
+        indptr = np.concatenate([[0], np.cumsum(counts)]).astype(np.int64)
+        members = np.concatenate(
+            [rng.choice(n, size=c, replace=False) for c in counts]
+        ).astype(np.int64)
+        reference = assert_dense_matches_oracle(backend, indptr, members)
+        # A tiny block budget splits the live rounds (and the CSR build)
+        # into many chunks; the result must not move.
+        for budget in (n, 3 * n, 7 * n):
+            monkeypatch.setattr(DenseMatrixBackend, "_BATCH_BLOCK_ELEMENTS", budget)
+            chunked = DenseMatrixBackend(random_positions(67, n, 3.0), PARAMS)
+            assert_in_range_is_hears_alone(chunked)
+            assert_tables_equal(reference, chunked.receptions_table(indptr, members))
+        all_empty = backend.receptions_table(np.zeros(9, dtype=np.int64),
+                                             np.empty(0, dtype=np.int64))
+        assert all_empty.num_rounds == 8 and len(all_empty) == 0
+
+    @given(
+        positions=positions_strategy,
+        sched_seed=st.integers(0, 500),
+        rounds=st.integers(1, 12),
+        pool=st.sampled_from(["all", "permuted", "partial"]),
+    )
+    @settings(max_examples=60, deadline=None)
+    def test_lattice_placements_match_oracle(self, positions, sched_seed, rounds, pool):
+        """Grid-snapped placements: co-located pairs and exact unit distances."""
+        n = len(positions)
+        backend = DenseMatrixBackend(positions, PARAMS)
+        indptr, members = _random_csr(n, sched_seed, rounds)
+        perm = np.random.default_rng(sched_seed).permutation(n)
+        listeners = {"all": None, "permuted": perm, "partial": perm[: max(1, n // 2)]}[pool]
+        assert_dense_matches_oracle(backend, indptr, members, listeners=listeners)
+        assert_in_range_is_hears_alone(backend)
 
 
 # --------------------------------------------------------------------- #
