@@ -75,7 +75,8 @@ def _backend_param_problems(backend: str, options: Mapping[str, Any]) -> List[st
         field = f"deployment.backend_params.{key}"
         if key not in accepted:
             problems.append(
-                f"{field}: not an option of the {backend!r} backend (accepted: {', '.join(accepted)})"
+                f"{field}: not an option of the {backend!r} backend "
+                f"(accepted: {', '.join(accepted) or 'none'})"
             )
             continue
         check = cls.option_checks.get(key)

@@ -55,7 +55,6 @@ from typing import Any, Dict, Optional, Sequence
 
 from . import api
 from .api import AlgorithmSpec, DeploymentSpec, DynamicsSpec, MobilitySpec, RunSpec
-from .sinr.backends.spatial import _validate_round_batch
 
 
 #: Flag -> builder-parameter translation per deployment kind.  This is pure
@@ -71,33 +70,9 @@ _DEPLOYMENT_FLAGS = {
 }
 
 
-def _parse_round_batch(value: str) -> object:
-    """argparse type for ``--round-batch``: the spatial backend's own rule."""
-    try:
-        value = int(value)
-    except ValueError:
-        pass  # "auto", or garbage the rule rejects
-    try:
-        return _validate_round_batch(value)
-    except ValueError as exc:
-        raise argparse.ArgumentTypeError(str(exc)) from None
-
-
 def _deployment_spec(args: argparse.Namespace) -> DeploymentSpec:
     params = _DEPLOYMENT_FLAGS[args.deployment](args)
-    backend_params: Dict[str, Any] = {}
-    round_batch = getattr(args, "round_batch", None)
-    if round_batch is not None:
-        if args.backend != "spatial":
-            raise SystemExit("--round-batch only applies to --backend spatial")
-        backend_params["round_batch"] = round_batch
-    return DeploymentSpec(
-        args.deployment,
-        params,
-        seed=args.seed,
-        backend=args.backend,
-        backend_params=backend_params,
-    )
+    return DeploymentSpec(args.deployment, params, seed=args.seed, backend=args.backend)
 
 
 def _run_spec(args: argparse.Namespace, algorithm: str, params: Optional[Dict[str, Any]] = None) -> RunSpec:
@@ -135,15 +110,6 @@ def _add_network_arguments(parser: argparse.ArgumentParser) -> None:
         default="dense",
         help="physics backend: dense (O(n^2) gain matrix), lazy (O(n) memory) "
         "or spatial (grid-indexed, for large n)",
-    )
-    parser.add_argument(
-        "--round-batch",
-        type=_parse_round_batch,
-        default=None,
-        metavar="N|auto",
-        help="spatial backend only: fuse N consecutive schedule rounds per "
-        "evaluation ('auto' sizes batches adaptively; results are identical "
-        "for every value)",
     )
     parser.add_argument(
         "--dump-spec",

@@ -1,6 +1,6 @@
-"""Optional compiled kernels for the spatial backend's per-round hot path.
+"""Optional compiled kernels for the spatial backend's hot path.
 
-Three small numeric primitives dominate a spatial round evaluation:
+Three small numeric primitives dominate a spatial batch evaluation:
 
 * :func:`pair_gains` -- received power ``P / d^alpha`` for a flat list of
   (transmitter position, listener position) pairs, with the co-located
@@ -8,17 +8,11 @@ Three small numeric primitives dominate a spatial round evaluation:
 * :func:`near_reduce` -- segment reduction of those pair gains onto their
   listeners (total near-field power *and* strongest near-field gain in one
   pass);
-* :func:`resolve_strongest` -- per-listener total power, strongest gain and
-  strongest-transmitter index over an exact ``(k, m)`` gain block (the
-  fallback path for listeners whose accept/reject decision the tile bounds
-  cannot certify);
-* :func:`segment_strongest` -- the ragged counterpart of
-  :func:`resolve_strongest`: per-segment total power, strongest gain and the
-  *flat index* of the first strongest pair over a flat, segment-major pair
-  list.  This is what the batched multi-round driver uses, where each
-  listener's exact-evaluation row count depends on its own round's
-  transmitter set; ties resolve to the lowest flat index, matching
-  ``np.argmax`` semantics on the block form.
+* :func:`segment_strongest` -- per-segment total power, strongest gain and
+  the *flat index* of the first strongest pair over a flat, segment-major
+  pair list: the exact stage, where each listener's row count depends on
+  its own round's transmitter set; ties resolve to the lowest flat index,
+  matching ``np.argmax`` semantics.
 
 Each primitive has a pure-NumPy implementation and, when `numba
 <https://numba.pydata.org>`_ is importable, an ``@njit``-compiled fused-loop
@@ -46,7 +40,6 @@ __all__ = [
     "dist_pow",
     "near_reduce",
     "pair_gains",
-    "resolve_strongest",
     "segment_strongest",
 ]
 
@@ -97,14 +90,6 @@ def _near_reduce_numpy(listener_idx, gains, num_listeners):
     return sums, maxs
 
 
-def _resolve_strongest_numpy(block):
-    """Per-column (total, best gain, best row index) of a gain block."""
-    totals = block.sum(axis=0)
-    best_idx = block.argmax(axis=0)
-    best_gain = block[best_idx, np.arange(block.shape[1])]
-    return totals, best_gain, best_idx
-
-
 _INT64_MAX = np.iinfo(np.int64).max
 
 
@@ -115,7 +100,7 @@ def _segment_strongest_numpy(seg_idx, gains, num_segments):
     strictly positive; both hold on every call site (pair lists are built
     candidate-major and gains are clamped powers).  Totals accumulate in
     flat input order (``np.bincount`` adds sequentially per bin), which is
-    what makes the batched and per-round drivers bit-identical; ties on the
+    what makes results independent of how rounds are batched; ties on the
     maximum resolve to the lowest flat index, matching ``np.argmax`` over
     the equivalent dense block.  Empty segments report (0, 0, 0).
     """
@@ -136,7 +121,6 @@ def _segment_strongest_numpy(seg_idx, gains, num_segments):
 KERNEL_BACKEND = "numpy"
 pair_gains = _pair_gains_numpy
 near_reduce = _near_reduce_numpy
-resolve_strongest = _resolve_strongest_numpy
 segment_strongest = _segment_strongest_numpy
 
 if not os.environ.get("REPRO_NO_NUMBA"):
@@ -173,21 +157,6 @@ if not os.environ.get("REPRO_NO_NUMBA"):
             return sums, maxs
 
         @njit(cache=True)
-        def _resolve_strongest_nb(block):  # pragma: no cover
-            k, m = block.shape
-            totals = np.zeros(m, dtype=np.float64)
-            best_gain = np.zeros(m, dtype=np.float64)
-            best_idx = np.zeros(m, dtype=np.int64)
-            for i in range(k):
-                for j in range(m):
-                    g = block[i, j]
-                    totals[j] += g
-                    if g > best_gain[j]:
-                        best_gain[j] = g
-                        best_idx[j] = i
-            return totals, best_gain, best_idx
-
-        @njit(cache=True)
         def _segment_strongest_nb(seg_idx, gains, num_segments):  # pragma: no cover
             totals = np.zeros(num_segments, dtype=np.float64)
             best_gain = np.zeros(num_segments, dtype=np.float64)
@@ -207,5 +176,4 @@ if not os.environ.get("REPRO_NO_NUMBA"):
         KERNEL_BACKEND = "numba"
         pair_gains = _pair_gains_nb
         near_reduce = _near_reduce_nb
-        resolve_strongest = _resolve_strongest_nb
         segment_strongest = _segment_strongest_nb

@@ -11,7 +11,8 @@ ship with the reproduction:
   demand from positions with an LRU block cache; O(n) resident memory, which
   unlocks deployments of 100k+ nodes.
 * :class:`~repro.sinr.backends.spatial.SpatialGridBackend` buckets nodes on
-  a grid and certifies the far field; O(n) memory and sub-quadratic rounds.
+  a grid and evaluates only listeners with a transmitter in range; O(n)
+  memory and sub-quadratic rounds.
 
 The contract is a single primitive, :meth:`PhysicsBackend.gain_block`: the
 received-power sub-matrix for arbitrary sender/receiver index arrays.  All

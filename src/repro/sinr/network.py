@@ -64,8 +64,8 @@ class WirelessNetwork:
         Physics backend evaluating SINR receptions: ``"dense"`` (default,
         precomputed O(n^2) gain matrix), ``"lazy"`` (O(n) memory, gain blocks
         computed on demand), ``"spatial"`` (uniform-grid index with certified
-        far-field bounds -- use for n >> 10^4, scales to n = 10^6), or an
-        already constructed :class:`~repro.sinr.backends.PhysicsBackend`.
+        pruning -- use for n >> 10^4, scales to n = 10^6), or an already
+        constructed :class:`~repro.sinr.backends.PhysicsBackend`.
     """
 
     def __init__(

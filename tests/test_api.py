@@ -237,7 +237,8 @@ class TestBackendParamValidation:
             ("dense", {"round_batch": 4}, "not an option of the 'dense' backend"),
             ("dense", {"bogus": 1}, "not an option of the 'dense' backend"),
             ("dense", {"gain_dtype": "int8"}, "gain_dtype must be float64 or float32"),
-            ("spatial", {"round_batch": 16}, None),
+            ("spatial", {"round_batch": 16}, "not an option of the 'spatial' backend"),
+            ("dense", {"gain_dtype": "float32"}, None),
         ],
     )
     def test_validate_spec_agrees_with_the_backend(self, backend, params, problem):

@@ -4,18 +4,20 @@ The contract pinned here is the repo's strongest invariant: for any seeded
 deployment and any CSR schedule, the dense, lazy and spatial backends emit
 the *same reception events* (receiver, decoded sender, round), with SINR
 values matching to tight relative tolerance -- and the spatial backend's
-batched round driver is **bit-identical** to its round-by-round path for
-every batch size, including ``"auto"``.
+batched pass is **bit-identical** across batch sizes (forced by patching
+its auto-sizing constants) and to the concatenation of calls on any round
+slices of the schedule, one-round slices included.
 
 Structure:
 
 * a schedule-family zoo (ssf, wss, wcss node stage, TDMA, round-robin
   cycles, random-with-empty-rounds) generating CSR ``(indptr, members)``
   over node indices;
-* a backend zoo (dense float64, lazy, spatial at K in {1, 7, 64, auto});
+* a backend zoo (dense float64, lazy, spatial at K in {1, 7, 64, auto}
+  rounds per batch);
 * the matrix test sweeping families x backends x seeds;
-* bit-identity and hypothesis properties for the batched driver
-  (associativity across round splits; K=1 dispatches only ``_round_core``);
+* bit-identity and hypothesis properties for the batched pass
+  (associativity across arbitrary round splits and one-round slices);
 * a golden-digest regression corpus (``golden_reception_digests.json``)
   whose failure message names the first diverging round;
 * counter-accounting and listener-cache invalidation unit tests;
@@ -31,6 +33,7 @@ Regenerate the golden corpus after an *intentional* physics change with::
 
 from __future__ import annotations
 
+import contextlib
 import hashlib
 import json
 import os
@@ -51,8 +54,8 @@ from repro.sinr.backends import (
     LazyBlockBackend,
     SpatialGridBackend,
 )
-from repro.sinr.backends import _kernels
-from repro.sinr.backends.base import COLOCATED_GAIN
+from repro.sinr.backends import _kernels, spatial
+from repro.sinr.backends.base import COLOCATED_GAIN, DeliveryTable
 from repro.sinr.model import NUMERIC_TOLERANCE, SINRParameters
 
 PARAMS = SINRParameters.default()
@@ -61,6 +64,31 @@ GOLDEN_PATH = os.path.join(os.path.dirname(os.path.abspath(__file__)),
                            "golden_reception_digests.json")
 
 BATCH_SIZES = (1, 7, 64, "auto")
+
+
+@contextlib.contextmanager
+def forced_batch(batch):
+    """Force the spatial auto sizing to ``batch`` rounds per batch (``"auto"``: leave it)."""
+    with pytest.MonkeyPatch.context() as mp:
+        if batch != "auto":
+            mp.setattr(spatial, "_MAX_ROUND_BATCH", batch)
+            mp.setattr(spatial, "_AUTO_BATCH_TARGET", 1 << 40)
+        yield
+
+
+class BatchedSpatial:
+    """A spatial backend whose ``receptions_table`` runs at a forced batch size."""
+
+    def __init__(self, positions, batch):
+        self._backend = SpatialGridBackend(positions, PARAMS)
+        self._batch = batch
+
+    def receptions_table(self, *args, **kwargs):
+        with forced_batch(self._batch):
+            return self._backend.receptions_table(*args, **kwargs)
+
+    def __getattr__(self, name):
+        return getattr(self._backend, name)
 
 
 # --------------------------------------------------------------------- #
@@ -120,9 +148,7 @@ def backend_zoo(positions: np.ndarray) -> dict:
         "lazy": LazyBlockBackend(positions.copy(), PARAMS),
     }
     for k in BATCH_SIZES:
-        zoo[f"spatial-k{k}"] = SpatialGridBackend(
-            positions.copy(), PARAMS, round_batch=k
-        )
+        zoo[f"spatial-k{k}"] = BatchedSpatial(positions.copy(), k)
     return zoo
 
 
@@ -136,13 +162,13 @@ def assert_tables_equal(a, b, rel=1e-9):
 
 
 def assert_tables_bit_identical(a, b):
-    """All four arrays equal to the last bit (batched-driver contract)."""
+    """All four arrays equal to the last bit (batched-pass contract)."""
     assert a.num_rounds == b.num_rounds
     assert np.array_equal(a.round_ids, b.round_ids)
     assert np.array_equal(a.receivers, b.receivers)
     assert np.array_equal(a.senders, b.senders)
     assert np.array_equal(a.sinr, b.sinr), (
-        "batched spatial driver diverged from round-by-round at the bit level"
+        "batched spatial pass diverged across batch partitions at the bit level"
     )
 
 
@@ -188,10 +214,10 @@ class TestCrossBackendMatrix:
         n = 30
         positions = random_positions(23, n)
         indptr, members = schedule_csr(family, n, 23)
-        base = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
+        base = BatchedSpatial(positions.copy(), 1)
         reference = base.receptions_table(indptr, members)
         for k in (2, 7, 64, "auto"):
-            other = SpatialGridBackend(positions.copy(), PARAMS, round_batch=k)
+            other = BatchedSpatial(positions.copy(), k)
             assert_tables_bit_identical(
                 reference, other.receptions_table(indptr, members)
             )
@@ -207,10 +233,8 @@ class TestFloat32DenseLeg:
         indptr, members = schedule_csr("ssf", n, 0)
         dense32 = DenseMatrixBackend(positions.copy(), PARAMS,
                                      gain_dtype=np.float32)
-        spatial = SpatialGridBackend(positions.copy(), PARAMS,
-                                     round_batch="auto")
         a = dense32.receptions_table(indptr, members)
-        b = spatial.receptions_table(indptr, members)
+        b = SpatialGridBackend(positions.copy(), PARAMS).receptions_table(indptr, members)
         assert np.array_equal(a.round_ids, b.round_ids)
         assert np.array_equal(a.receivers, b.receivers)
         assert np.array_equal(a.senders, b.senders)
@@ -218,7 +242,7 @@ class TestFloat32DenseLeg:
 
 
 # --------------------------------------------------------------------- #
-# Batched-driver properties.
+# Batched-pass properties.
 # --------------------------------------------------------------------- #
 
 
@@ -240,6 +264,24 @@ def _random_csr(n: int, seed: int, rounds: int):
             np.concatenate(members) if members else np.empty(0, np.int64))
 
 
+def table_over_slices(backend, indptr, members, cuts):
+    """Concatenated ``receptions_table`` calls on the round slices between ``cuts``."""
+    bounds = [0, *sorted(cuts), len(indptr) - 1]
+    parts = []
+    for a, b in zip(bounds, bounds[1:]):
+        lo, hi = int(indptr[a]), int(indptr[b])
+        part = backend.receptions_table(indptr[a : b + 1] - lo, members[lo:hi])
+        assert part.num_rounds == b - a
+        parts.append((part.round_ids + a, part))
+    return DeliveryTable(
+        num_rounds=len(indptr) - 1,
+        round_ids=np.concatenate([r for r, _ in parts]),
+        receivers=np.concatenate([p.receivers for _, p in parts]),
+        senders=np.concatenate([p.senders for _, p in parts]),
+        sinr=np.concatenate([p.sinr for _, p in parts]),
+    )
+
+
 class TestBatchedDriverProperties:
     @given(
         positions=positions_strategy,
@@ -254,8 +296,8 @@ class TestBatchedDriverProperties:
         """Co-located pairs and cell-boundary coordinates, batched."""
         n = len(positions)
         indptr, members = _random_csr(n, sched_seed, rounds)
-        base = SpatialGridBackend(positions.copy(), PARAMS, round_batch=1)
-        other = SpatialGridBackend(positions.copy(), PARAMS, round_batch=batch)
+        base = BatchedSpatial(positions.copy(), 1)
+        other = BatchedSpatial(positions.copy(), batch)
         assert_tables_bit_identical(
             base.receptions_table(indptr, members),
             other.receptions_table(indptr, members),
@@ -265,104 +307,51 @@ class TestBatchedDriverProperties:
         seed=st.integers(0, 500),
         n=st.integers(2, 20),
         rounds=st.integers(2, 14),
-        split=st.integers(1, 13),
+        cuts=st.sets(st.integers(1, 13), max_size=5),
         batch=st.sampled_from([1, 3, 64, "auto"]),
     )
     @settings(max_examples=40, deadline=None)
     def test_batching_is_associative_across_round_splits(
-        self, seed, n, rounds, split, batch
+        self, seed, n, rounds, cuts, batch
     ):
-        """Splitting a schedule at any round boundary changes nothing.
+        """Splitting a schedule at any round boundaries changes nothing.
 
-        This is the property that makes the fused driver correct by
-        construction: batch boundaries are round boundaries, so if a split
-        run concatenates to the full run, any batch partition does.
+        This is the property that makes the batched pass correct by
+        construction: batch boundaries are round boundaries, so if split
+        runs concatenate to the full run, any batch partition does.  The
+        one-round slices are the per-round calls ``receptions()`` makes.
         """
-        split = min(split, rounds - 1)
         positions = random_positions(seed, n)
         indptr, members = _random_csr(n, seed + 1, rounds)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = BatchedSpatial(positions, batch)
         full = backend.receptions_table(indptr, members)
-
-        lo = int(indptr[split])
-        head = backend.receptions_table(indptr[: split + 1], members[:lo])
-        tail_ptr = indptr[split:] - lo
-        tail = backend.receptions_table(tail_ptr, members[lo:])
-
-        assert np.array_equal(
-            full.round_ids,
-            np.concatenate([head.round_ids, tail.round_ids + split]),
+        cuts = {c for c in cuts if c < rounds}
+        assert_tables_bit_identical(
+            full, table_over_slices(backend, indptr, members, cuts)
         )
-        assert np.array_equal(full.receivers,
-                              np.concatenate([head.receivers, tail.receivers]))
-        assert np.array_equal(full.senders,
-                              np.concatenate([head.senders, tail.senders]))
-        assert np.array_equal(full.sinr,
-                              np.concatenate([head.sinr, tail.sinr]))
-
-    def test_k1_dispatches_round_core_only(self, monkeypatch):
-        """At K=1 the driver reduces to the per-round ``_round_core`` path."""
-        calls = {"round": 0, "batch": 0}
-        round_core = SpatialGridBackend._round_core
-        batch_core = SpatialGridBackend._batch_core
-
-        def counting_round(self, *args, **kwargs):
-            calls["round"] += 1
-            return round_core(self, *args, **kwargs)
-
-        def counting_batch(self, *args, **kwargs):
-            calls["batch"] += 1
-            return batch_core(self, *args, **kwargs)
-
-        monkeypatch.setattr(SpatialGridBackend, "_round_core", counting_round)
-        monkeypatch.setattr(SpatialGridBackend, "_batch_core", counting_batch)
-
-        n = 16
-        positions = random_positions(9, n)
-        indptr, members = _random_csr(n, 9, rounds=6)
-        SpatialGridBackend(positions.copy(), PARAMS, round_batch=1).receptions_table(
-            indptr, members
+        assert_tables_bit_identical(
+            full, table_over_slices(backend, indptr, members, range(1, rounds))
         )
-        assert calls["batch"] == 0
-        assert calls["round"] > 0
-
-        calls["round"] = calls["batch"] = 0
-        SpatialGridBackend(positions.copy(), PARAMS, round_batch=3).receptions_table(
-            indptr, members
-        )
-        assert calls["batch"] > 0
-        assert calls["round"] == 0
-
-    def test_invalid_round_batch_rejected(self):
-        positions = random_positions(1, 8)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=0)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch="fast")
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=True)
-        with pytest.raises(ValueError):
-            SpatialGridBackend(positions, PARAMS, round_batch=-2)
 
 
 class TestEdgeCases:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_all_empty_rounds(self, batch):
         positions = random_positions(2, 10)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = BatchedSpatial(positions, batch)
         indptr = np.zeros(6, dtype=np.int64)
         table = backend.receptions_table(indptr, np.empty(0, dtype=np.int64))
         assert table.num_rounds == 5
         assert len(table) == 0
         info = backend.grid_info()
         assert info["rounds_empty"] == 5
-        assert info["rounds_fused"] == 0 and info["rounds_single"] == 0
+        assert info["rounds_fused"] == 0 and info["batches"] == 0
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_everyone_transmits_nobody_listens(self, batch):
         n = 12
         positions = random_positions(4, n)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = BatchedSpatial(positions, batch)
         indptr = np.array([0, n, 2 * n], dtype=np.int64)
         members = np.tile(np.arange(n, dtype=np.int64), 2)
         table = backend.receptions_table(indptr, members)
@@ -377,7 +366,7 @@ class TestEdgeCases:
     @pytest.mark.parametrize("batch", BATCH_SIZES)
     def test_single_node_network(self, batch):
         positions = np.array([[1.0, 1.0]])
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = BatchedSpatial(positions, batch)
         indptr = np.array([0, 1, 1], dtype=np.int64)
         members = np.array([0], dtype=np.int64)
         table = backend.receptions_table(indptr, members)
@@ -394,10 +383,9 @@ class TestEdgeCases:
         n = len(positions)
         indptr, members = schedule_csr("ssf", n, 0)
         dense = DenseMatrixBackend(positions.copy(), PARAMS)
-        spatial = SpatialGridBackend(positions.copy(), PARAMS, round_batch=batch)
         assert_tables_equal(
             dense.receptions_table(indptr, members),
-            spatial.receptions_table(indptr, members),
+            BatchedSpatial(positions.copy(), batch).receptions_table(indptr, members),
         )
 
 
@@ -410,8 +398,7 @@ class TestBatchCounters:
     def _counters(self, backend):
         info = backend.grid_info()
         return {k: info[k] for k in (
-            "round_batch", "batches", "rounds_fused", "rounds_single",
-            "rounds_empty", "join_entries",
+            "round_batch", "batches", "rounds_fused", "rounds_empty", "join_entries",
         )}
 
     @pytest.mark.parametrize("batch", BATCH_SIZES)
@@ -420,23 +407,23 @@ class TestBatchCounters:
         n = 22
         positions = random_positions(13, n)
         indptr, members = schedule_csr(family, n, 13)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
+        backend = BatchedSpatial(positions, batch)
         backend.receptions_table(indptr, members)
         c = self._counters(backend)
         num_rounds = len(indptr) - 1
-        assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == num_rounds
+        assert c["rounds_fused"] + c["rounds_empty"] == num_rounds
+        expected = spatial._round_batch(num_rounds, len(members)) if batch == "auto" else batch
+        assert c["round_batch"] == expected
+        assert 1 <= c["batches"] <= c["rounds_fused"]
         if c["round_batch"] == 1:
-            assert c["rounds_fused"] == 0 and c["batches"] == 0
-        else:
-            assert c["rounds_single"] == 0
-            assert c["batches"] >= 1
-            assert c["join_entries"] > 0
+            assert c["batches"] == c["rounds_fused"]
+        assert c["join_entries"] > 0
 
     def test_counters_reset_per_run(self):
         n = 18
         positions = random_positions(17, n)
         indptr, members = schedule_csr("ssf", n, 17)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=7)
+        backend = BatchedSpatial(positions, 7)
         backend.receptions_table(indptr, members)
         first = self._counters(backend)
         backend.receptions_table(indptr, members)
@@ -444,13 +431,13 @@ class TestBatchCounters:
         short_ptr = indptr[:3]
         backend.receptions_table(short_ptr, members[: short_ptr[-1]])
         c = self._counters(backend)
-        assert c["rounds_fused"] + c["rounds_single"] + c["rounds_empty"] == 2
+        assert c["rounds_fused"] + c["rounds_empty"] == 2
 
     def test_auto_batch_reported_in_grid_info(self):
         n = 20
         positions = random_positions(19, n)
         indptr, members = schedule_csr("tdma", n, 19)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch="auto")
+        backend = SpatialGridBackend(positions, PARAMS)
         backend.receptions_table(indptr, members)
         info = backend.grid_info()
         assert isinstance(info["round_batch"], int)
@@ -463,7 +450,7 @@ class TestListenerBucketCache:
         n = 20
         positions = random_positions(29, n)
         indptr, members = _random_csr(n, 29, rounds=8)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
+        backend = SpatialGridBackend(positions, PARAMS)
         backend.receptions_table(indptr, members)
         cached = backend._listener_cache
         assert cached is not None
@@ -498,7 +485,7 @@ class TestListenerBucketCache:
     def test_cache_keyed_on_listener_array_contents(self):
         n = 16
         positions = random_positions(37, n)
-        backend = SpatialGridBackend(positions, PARAMS, round_batch=1)
+        backend = SpatialGridBackend(positions, PARAMS)
         indptr, members = _random_csr(n, 37, rounds=4)
         evens = np.arange(0, n, 2)
         odds = np.arange(1, n, 2)
@@ -553,8 +540,7 @@ def _event_digests(table):
 def _golden_table(spec, batch):
     positions = random_positions(spec["seed"], spec["n"], spec["side"])
     indptr, members = schedule_csr(spec["family"], spec["n"], spec["seed"])
-    backend = SpatialGridBackend(positions, PARAMS, round_batch=batch)
-    return backend.receptions_table(indptr, members)
+    return BatchedSpatial(positions, batch).receptions_table(indptr, members)
 
 
 class TestGoldenDigests:
@@ -610,7 +596,7 @@ class TestGoldenDigests:
         for spec in GOLDEN_SPECS:
             whole, _ = _event_digests(_golden_table(spec, batch))
             assert whole == corpus[spec["name"]]["table"], (
-                f"{spec['name']!r} diverges at round_batch={batch}"
+                f"{spec['name']!r} diverges at {batch} rounds per batch"
             )
 
 
@@ -874,27 +860,22 @@ class TestKernelBackendLeg:
 
 
 # --------------------------------------------------------------------- #
-# Runner-level threading: the constructor knob (as `backend_params` pass it)
-# holds through the schedule runners.
+# Runner-level threading: the batch size never shows through the schedule
+# runners.
 # --------------------------------------------------------------------- #
 
 
 class TestRunnerThreading:
     def test_run_schedule_round_batch_equivalent(self):
-        net_a = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend=("spatial", {"round_batch": 1}))
-        net_b = deployment.uniform_random(40, area_side=4.0, seed=43,
-                                          backend=("spatial", {"round_batch": 16}))
         sched = ssf.prime_residue_ssf(64, 4)
-        ids = list(net_a.uids)
-        res_a = run_schedule(SINRSimulator(net_a), sched, ids)
-        res_b = run_schedule(SINRSimulator(net_b), sched, ids)
-        ra, sa, va = res_a.event_table()
-        rb, sb, vb = res_b.event_table()
-        assert np.array_equal(ra, rb)
-        assert np.array_equal(sa, sb)
-        assert np.array_equal(va, vb)
-        assert net_a.physics.grid_info()["round_batch"] == 1
-        info = net_b.physics.grid_info()
-        assert info["round_batch"] == 16
-        assert info["rounds_fused"] > 0
+        events = {}
+        for batch in (1, 16):
+            net = deployment.uniform_random(40, area_side=4.0, seed=43, backend="spatial")
+            with forced_batch(batch):
+                result = run_schedule(SINRSimulator(net), sched, list(net.uids))
+            events[batch] = result.event_table()
+            info = net.physics.grid_info()
+            assert info["round_batch"] == batch
+            assert info["rounds_fused"] > 0
+        for a, b in zip(events[1], events[16]):
+            assert np.array_equal(a, b)

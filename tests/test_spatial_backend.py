@@ -1,7 +1,7 @@
 """Property tests: the spatial backend is exact, never silently approximate.
 
-The load-bearing guarantee of ``SpatialGridBackend``: its certified
-near/far-field split is a *pruning* device, not an approximation -- every
+The load-bearing guarantee of ``SpatialGridBackend``: its two certificates
+are a *pruning* device, not an approximation -- every
 delivered event (receiver, decoded sender, reported SINR) matches the dense
 backend event for event, on single rounds, restricted listener pools,
 batched schedules and across incremental mutations.  The float32 storage
@@ -83,10 +83,10 @@ def assert_tables_equal(a, b, rel=1e-9):
     np.testing.assert_allclose(a.sinr, b.sinr, rtol=rel)
 
 
-def both_backends(positions, **spatial_kwargs):
+def both_backends(positions):
     positions = np.asarray(positions, dtype=float)
     dense = DenseMatrixBackend(positions.copy(), PARAMS)
-    spatial = SpatialGridBackend(positions.copy(), PARAMS, **spatial_kwargs)
+    spatial = SpatialGridBackend(positions.copy(), PARAMS)
     return dense, spatial
 
 
@@ -165,17 +165,6 @@ class TestSpatialDenseEquivalence:
         for tx in ([0], [0, 1], [0, 2], [1, 3]):
             assert_receptions_close(dense.receptions(tx), spatial.receptions(tx))
 
-    def test_wider_rings_and_custom_cell_stay_equivalent(self):
-        positions = random_positions(17, 30, side=6.0)
-        dense = DenseMatrixBackend(positions, PARAMS)
-        for kwargs in ({"max_ring": 1}, {"max_ring": 4}, {"cell_size": 2.5}):
-            spatial = SpatialGridBackend(positions, PARAMS, **kwargs)
-            indptr, members = random_schedule(30, 18)
-            assert_tables_equal(
-                dense.receptions_table(indptr, members),
-                spatial.receptions_table(indptr, members),
-            )
-
     def test_exact_fallback_is_exercised_not_bypassed(self):
         """Receivers always reach the exact stage; bounds only prune losers."""
         positions = random_positions(3, 60, side=4.0)
@@ -192,7 +181,7 @@ class TestSpatialDenseEquivalence:
         # Every delivered event went through exact evaluation, and the
         # certificates did real pruning work around them.
         assert info["exact"] >= deliveries
-        assert info["pruned_signal"] + info["pruned_near"] + info["pruned_far"] > 0
+        assert info["pruned_signal"] + info["pruned_near"] > 0
 
     def test_non_integral_alpha_uses_general_power_path(self):
         params = SINRParameters(alpha=2.5, beta=1.5, noise=1.0, power=1.5)
@@ -282,12 +271,12 @@ class TestSpatialIncremental:
 
     def test_constructor_validation(self):
         positions = random_positions(0, 6)
-        with pytest.raises(ValueError, match="certified minimum"):
-            SpatialGridBackend(positions, PARAMS, cell_size=0.5 * PARAMS.transmission_range)
-        with pytest.raises(ValueError, match="max_ring"):
-            SpatialGridBackend(positions, PARAMS, max_ring=0)
         with pytest.raises(ValueError, match=r"\(n, 2\)"):
             SpatialGridBackend(np.zeros((4, 3)), PARAMS)
+        # The backend takes no tuning options.
+        for option in ("round_batch", "max_ring", "cell_size"):
+            with pytest.raises(TypeError):
+                SpatialGridBackend(positions, PARAMS, **{option: 2})
 
     def test_no_distance_matrix_and_readonly_positions(self):
         _, spatial = both_backends(random_positions(2, 5))
@@ -390,18 +379,12 @@ class TestKernels:
             rtol=1e-12,
         )
 
-    def test_near_reduce_and_resolve_strongest(self):
+    def test_near_reduce(self):
         idx = np.array([0, 2, 0, 1, 2, 2], dtype=np.int64)
         gains = np.array([1.0, 5.0, 3.0, 2.0, 0.5, 4.0])
         sums, maxs = _kernels.near_reduce(idx, gains, 4)
         np.testing.assert_allclose(sums, [4.0, 2.0, 9.5, 0.0])
         np.testing.assert_allclose(maxs, [3.0, 2.0, 5.0, 0.0])
-        block = np.array([[1.0, 9.0], [4.0, 2.0], [4.0, 3.0]])
-        totals, best_gain, best_idx = _kernels.resolve_strongest(block)
-        np.testing.assert_allclose(totals, [9.0, 14.0])
-        np.testing.assert_allclose(best_gain, [4.0, 9.0])
-        # Ties resolve to the first (lowest) row index, like np.argmax.
-        assert list(best_idx) == [1, 0]
 
 
 class TestSpatialRegistration:
